@@ -1,36 +1,11 @@
-"""Hot verification kernels: lattice reduction and coverage counting.
-
-Two implementations are provided: numba-jitted loops and a pure-numpy
-fallback.  Set POLYWANG_NO_NUMBA=1 to force the numpy path (the jitted one
-is used whenever numba imports cleanly).
-"""
+"""Verification kernels: lattice reduction and coverage counting in numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("POLYWANG_NO_NUMBA", "") not in ("", "0")
 
-try:  # pragma: no cover - exercised indirectly via backend()
-    if _FORCE_NUMPY:
-        raise ImportError("disabled by POLYWANG_NO_NUMBA")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def reduce_points_numpy(xs, ys, a, b, c):
+def reduce_points(xs, ys, a, b, c):
     """Map points to canonical representatives in [0, a) x [0, b).
 
     (a, 0) and (c, b) form a triangular basis of the quotient lattice.
@@ -41,55 +16,13 @@ def reduce_points_numpy(xs, ys, a, b, c):
     return xr, yr
 
 
-def coverage_counts_numpy(xs, ys, a, b, c):
+def coverage_counts(xs, ys, a, b, c):
     """Per-quotient-cell coverage multiplicities as a flat (a*b,) array."""
-    xr, yr = reduce_points_numpy(xs, ys, a, b, c)
+    xr, yr = reduce_points(xs, ys, a, b, c)
     idx = yr.astype(np.int64) * a + xr
     return np.bincount(idx, minlength=a * b)
 
 
-@njit(cache=True)
-def _reduce_points_jit(xs, ys, a, b, c):  # pragma: no cover - jitted
-    m = xs.shape[0]
-    xr = np.empty(m, dtype=np.int64)
-    yr = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        k = ys[i] // b
-        yr[i] = ys[i] - k * b
-        xr[i] = (xs[i] - k * c) % a
-    return xr, yr
-
-
-@njit(cache=True)
-def _coverage_counts_jit(xs, ys, a, b, c):  # pragma: no cover - jitted
-    counts = np.zeros(a * b, dtype=np.int64)
-    for i in range(xs.shape[0]):
-        k = ys[i] // b
-        yr = ys[i] - k * b
-        xr = (xs[i] - k * c) % a
-        counts[yr * a + xr] += 1
-    return counts
-
-
-def reduce_points_numba(xs, ys, a, b, c):
-    return _reduce_points_jit(np.ascontiguousarray(xs, dtype=np.int64),
-                              np.ascontiguousarray(ys, dtype=np.int64),
-                              a, b, c)
-
-
-def coverage_counts_numba(xs, ys, a, b, c):
-    return _coverage_counts_jit(np.ascontiguousarray(xs, dtype=np.int64),
-                                np.ascontiguousarray(ys, dtype=np.int64),
-                                a, b, c)
-
-
-if _HAVE_NUMBA:
-    reduce_points = reduce_points_numba
-    coverage_counts = coverage_counts_numba
-else:
-    reduce_points = reduce_points_numpy
-    coverage_counts = coverage_counts_numpy
-
-
 def backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the kernel implementation, recorded with benchmark runs."""
+    return "numpy"

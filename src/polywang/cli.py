@@ -135,12 +135,17 @@ def _region_from_tiling_json(obj: dict) -> solver.Region:
     raise CliError("tiling file lacks a region (lattice or rect)")
 
 
+def _placements(obj: dict) -> list[solver.Placement]:
+    if not isinstance(obj["placements"], list):
+        raise CliError("'placements' must be a list")
+    return [solver.Placement.from_json(p) for p in obj["placements"]]
+
+
 def cmd_verify(args) -> int:
     pieces = _load_polyominoes(args.pieces)
     obj = _load_json(args.tiling)
     region = _region_from_tiling_json(obj)
-    placements = [solver.Placement.from_json(p) for p in obj["placements"]]
-    report = solver.check_tiling(region, pieces, placements)
+    report = solver.check_tiling(region, pieces, _placements(obj))
     _dump_json(args.output, report.to_json())
     return EXIT_OK if report.exact else EXIT_UNSAT
 
@@ -149,10 +154,11 @@ def cmd_render(args) -> int:
     obj = _load_json(args.input)
     spec = render.RenderSpec(cell_size=args.cell_size, grid=args.grid)
     if "placements" in obj:
-        sim = simulate.SimulatedTiling.from_json(obj)
+        # Only the placements are drawn, so torus and rect tilings render alike.
         if not args.pieces:
             raise CliError("rendering a tiling needs --pieces")
-        svg = render.render_svg(spec, sim, _load_polyominoes(args.pieces))
+        svg = render.render_svg(spec, _placements(obj),
+                                _load_polyominoes(args.pieces))
     else:
         svg = render.render_svg(spec, _load_polyominoes(args.input))
     _write(args.output, svg)
@@ -244,3 +250,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -7,19 +7,18 @@ offset inside their grid cell (left slots at x=1, right slots at x=6).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from . import blocks
-from .blocks import BLOCK, BlockKind, block_cells, geometry, partner
-from .geometry import CellSet, Polyomino, Vec, canonical, is_connected, translate
+from .blocks import BLOCK, BlockKind, geometry, partner
+from .geometry import Polyomino, Vec, is_connected, translate
 from .wang import WangTileSet
 
 PIECE_NAMES = ("encoder", "l_linker", "r_linker", "a_filler", "b_filler",
                "connector", "t_filler")
 
-TAB_ANCHOR_LEFT: Vec = (1, 0)
-TAB_ANCHOR_RIGHT: Vec = (6, 0)
+TAB_ANCHOR_LEFT: Vec = blocks.CANONICAL_OFFSETS[BlockKind.SLOT_LEFT]
+TAB_ANCHOR_RIGHT: Vec = blocks.CANONICAL_OFFSETS[BlockKind.SLOT_RIGHT]
 
 
 class CompileError(ValueError):
@@ -232,8 +231,3 @@ def compile_pieces(tileset: WangTileSet) -> SevenPieceSet:
         Polyomino(blocks.TAB_CELLS, "t_filler"),
     )
     return SevenPieceSet(pieces, tileset)
-
-
-def load_pieces(path: str) -> SevenPieceSet:
-    with open(path) as fh:
-        return SevenPieceSet.from_json(json.load(fh))

@@ -8,7 +8,6 @@ serialization is (y, x).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Iterable
 
 Cell = tuple[int, int]
@@ -214,9 +213,6 @@ class TorusLattice:
         k = y // b
         return ((x - k * cc) % a, y - k * b)
 
-    def contains(self, v: Vec) -> bool:
-        return self.reduce(v) == (0, 0)
-
     def representatives(self):
         """Iterate the |det| canonical representatives."""
         a, b, _ = self._hnf
@@ -240,10 +236,6 @@ def _ext_gcd(p: int, q: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def reduce_mod(c: Cell, lattice: TorusLattice) -> Cell:
-    return lattice.reduce(c)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ the y-flip into SVG screen coordinates happens only here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .compiler import SevenPieceSet
 from .geometry import Cell, CellSet, Polyomino, bounding_box
@@ -99,17 +99,25 @@ def path_data(cells: CellSet, scale: int, flip_y: int) -> str:
 
 
 def render_svg(spec: RenderSpec,
-               payload: SevenPieceSet | SimulatedTiling | Sequence[Polyomino],
+               payload: SevenPieceSet | SimulatedTiling | Sequence[Polyomino]
+               | Sequence[Placement],
                pieces: Sequence[Polyomino] | None = None) -> str:
-    """SVG document for a piece set (laid out in a row) or a tiling."""
+    """SVG document for a piece set (laid out in a row) or a tiling.
+
+    A tiling is drawn from its placements alone, so a placement list from
+    a rectangle renders like the placements of a torus tiling.
+    """
     s = spec.cell_size
     shapes: list[tuple[str, CellSet]] = []
     if isinstance(payload, SimulatedTiling):
+        payload = payload.placements
+    items = list(payload.pieces) if isinstance(payload, SevenPieceSet) else list(payload)
+    if items and isinstance(items[0], Placement):
         if pieces is None:
             raise RenderError("tiling rendering needs the piece set")
         table = {p.name: p for p in pieces}
         names = sorted(table)
-        for pl in payload.placements:
+        for pl in items:
             if pl.piece not in table:
                 raise RenderError(f"unknown piece {pl.piece!r}")
             color = PALETTE[names.index(pl.piece) % len(PALETTE)]
@@ -117,11 +125,8 @@ def render_svg(spec: RenderSpec,
                               for x, y in table[pl.piece].cells)
             shapes.append((color, cells))
     else:
-        plist = list(payload.pieces) if isinstance(payload, SevenPieceSet) else list(payload)
-        if not plist:
-            raise RenderError("empty payload")
         cursor = 0
-        for i, piece in enumerate(plist):
+        for i, piece in enumerate(items):
             x0, y0, x1, _ = bounding_box(piece.cells)
             cells = frozenset((x - x0 + cursor, y - y0) for x, y in piece.cells)
             shapes.append((PALETTE[i % len(PALETTE)], cells))

@@ -8,25 +8,21 @@ bigger fillers, 2t linkers, and 4t(n-1) tiny fillers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .blocks import BLOCK, BlockKind
 from .compiler import (
-    SevenPieceSet,
+    PIECE_NAMES,
     TAB_ANCHOR_LEFT,
     TAB_ANCHOR_RIGHT,
-    compile_pieces,
     encoder_block_at,
     encoder_width,
 )
 from .geometry import TorusLattice, Vec
 from .solver import Placement
-from .wang import WangInputError, WangTile, WangTileSet, WangTiling, validate
+from .wang import WangInputError, WangTileSet, WangTiling, validate
 
-PIECE_ORDER = {name: i for i, name in enumerate(
-    ("encoder", "l_linker", "r_linker", "a_filler", "b_filler",
-     "connector", "t_filler"))}
+PIECE_ORDER = {name: i for i, name in enumerate(PIECE_NAMES)}
 
 
 def wang_cell_to_diamond(a: int, b: int) -> tuple[int, int]:
@@ -214,8 +210,3 @@ def _slot_kind(bit: int) -> BlockKind:
 def _mismatch(side: str, a: int, b: int, bit: int, linker, below, above) -> dict:
     return {"side": side, "cell": [a, b], "bit": bit,
             "linker": linker.value, "below": below.value, "above": above.value}
-
-
-def load_simulated(path: str) -> SimulatedTiling:
-    with open(path) as fh:
-        return SimulatedTiling.from_json(json.load(fh))

@@ -8,9 +8,8 @@ simulator output.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -19,6 +18,10 @@ from . import _kernels
 from .geometry import Cell, CellSet, Polyomino, TorusLattice, Vec, canonical
 
 SolveMode = Literal["first", "count", "enumerate"]
+
+# Placement coordinates stay below this magnitude so that adding piece cells
+# cannot overflow the int64 arithmetic of check_tiling.
+COORD_BOUND = 2 ** 31
 
 
 class SolverInputError(ValueError):
@@ -69,7 +72,15 @@ class Placement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Placement":
-        return cls(obj["piece"], tuple(obj["at"]))
+        if not (isinstance(obj, dict) and isinstance(obj.get("piece"), str)):
+            raise SolverInputError(f"placement needs a piece name: {obj!r}")
+        at = obj.get("at")
+        if not (isinstance(at, list) and len(at) == 2
+                and all(type(v) is int and abs(v) < COORD_BOUND for v in at)):
+            raise SolverInputError(
+                f"placement 'at' must be two integers of magnitude below "
+                f"2**31, got {at!r}")
+        return cls(obj["piece"], tuple(at))
 
 
 @dataclass(frozen=True)
@@ -271,24 +282,17 @@ def _area_reachable(total: int, areas: Sequence[int]) -> bool:
     return (bits >> total) & 1 == 1
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("POLYWANG_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def solve(universe: PlacementUniverse, mode: SolveMode = "first",
-          limit: int | None = None, max_nodes: int | None = None,
-          workers: int | None = None):
+          limit: int | None = None, max_nodes: int | None = None):
     """Exhaustive exact-cover search over the placement universe.
 
     Deterministic: the uncovered cell with fewest live candidates is chosen
     (ties by lowest linear index) and candidates branch in canonical order.
-    Output is identical for any worker count.
+    ``limit`` keeps the first solutions in that order; ``max_nodes`` bounds
+    the search nodes below the root and raises SearchLimitError past it.
     """
-    if workers is None:
-        workers = _default_workers()
+    if limit is not None and limit < 0:
+        raise SolverInputError("limit must be nonnegative")
     n_cells = universe.num_cells
     cover = universe._cover
     candidates = universe._candidates
@@ -298,82 +302,52 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
             return 0
         return None if mode == "first" else []
 
-    nodes = [0]
+    covered = bytearray(n_cells)
+    nodes = 0
+    found = 0
 
-    def live(pid: int, covered: bytearray) -> bool:
+    def live(pid: int) -> bool:
         return all(not covered[i] for i in cover[pid])
 
-    def pick(covered: bytearray, remaining: int) -> tuple[int, list[int]] | None:
-        best: tuple[int, list[int]] | None = None
+    def pick() -> list[int]:
+        """Live candidates of the uncovered cell with the fewest of them."""
+        best: list[int] | None = None
         for idx in range(n_cells):
             if covered[idx]:
                 continue
-            cands = [pid for pid in candidates[idx] if live(pid, covered)]
-            if best is None or len(cands) < len(best[1]):
-                best = (idx, cands)
+            cands = [pid for pid in candidates[idx] if live(pid)]
+            if best is None or len(cands) < len(best):
+                best = cands
                 if len(cands) <= 1:
                     break
         return best
 
-    def search(covered: bytearray, remaining: int) -> Iterator[tuple[int, ...]]:
-        nodes[0] += 1
-        if max_nodes is not None and nodes[0] > max_nodes:
-            raise SearchLimitError(found[0])
-        if remaining == 0:
-            yield ()
-            return
-        chosen = pick(covered, remaining)
-        if chosen is None or not chosen[1]:
-            return
-        _, cands = chosen
-        for pid in cands:
-            for i in cover[pid]:
-                covered[i] = 1
-            for rest in search(covered, remaining - len(cover[pid])):
+    def mark(pid: int, value: int):
+        for i in cover[pid]:
+            covered[i] = value
+
+    def branches(remaining: int) -> Iterator[tuple[int, ...]]:
+        for pid in pick():
+            mark(pid, 1)
+            for rest in search(remaining - len(cover[pid])):
                 yield (pid,) + rest
-            for i in cover[pid]:
-                covered[i] = 0
+            mark(pid, 0)
 
-    def run_from(initial: tuple[int, ...]) -> list[tuple[int, ...]]:
-        covered = bytearray(n_cells)
-        remaining = n_cells
-        for pid in initial:
-            for i in cover[pid]:
-                covered[i] = 1
-            remaining -= len(cover[pid])
-        sols = []
-        for rest in search(covered, remaining):
-            sols.append(initial + rest)
-            found[0] += 1
-            # Per-branch cap only; the global limit is applied after the
-            # merge so results do not depend on branch scheduling.
-            if mode == "first" or (limit is not None and len(sols) >= limit):
-                break
-        return sols
+    def search(remaining: int) -> Iterator[tuple[int, ...]]:
+        nonlocal nodes, found
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise SearchLimitError(found)
+        if remaining == 0:
+            found += 1
+            yield ()
+        else:
+            yield from branches(remaining)
 
-    found = [0]
-
-    root = pick(bytearray(n_cells), n_cells)
-    branches = root[1] if root else []
-    solutions: list[tuple[int, ...]] = []
-    if workers > 1 and len(branches) > 1 and mode != "first":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(lambda pid: run_from((pid,)), branches)
-        for chunk in chunks:
-            solutions.extend(chunk)
-        if limit is not None:
-            solutions = solutions[:limit]
-    else:
-        for pid in branches:
-            solutions.extend(run_from((pid,)))
-            if mode == "first" and solutions:
-                break
-            if limit is not None and len(solutions) >= limit:
-                solutions = solutions[:limit]
-                break
-
+    # The root pick is not a search node; every branch below it is.
+    solutions = islice(branches(n_cells), 1 if mode == "first" else limit)
     if mode == "count":
-        return len(solutions)
+        return sum(1 for _ in solutions)
     tilings = [
         sorted((universe.placements[pid] for pid in sol),
                key=lambda pl: (pl.piece, pl.at[1], pl.at[0]))

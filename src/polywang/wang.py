@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
@@ -239,13 +238,3 @@ THREE_TILE_JSON = {
 def example_three_tile_set() -> WangTileSet:
     """The worked three-tile example set (explicit color order)."""
     return WangTileSet.from_json(THREE_TILE_JSON)
-
-
-def load_set(path: str) -> WangTileSet:
-    with open(path) as fh:
-        return WangTileSet.from_json(json.load(fh))
-
-
-def load_tiling(path: str) -> WangTiling:
-    with open(path) as fh:
-        return WangTiling.from_json(json.load(fh))

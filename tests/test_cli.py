@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polywang
 from polywang import cli
 from polywang.wang import THREE_TILE_JSON
 
@@ -110,3 +115,41 @@ def test_input_errors(workdir):
     # structurally wrong tile set
     bad.write_text(json.dumps({"tiles": [{"n": "a"}]}))
     assert _run("compile", bad) == 2
+
+
+@pytest.mark.parametrize("at", [[1], "ab", [0.5, 0], [2 ** 63, 0]])
+def test_malformed_placement_is_input_error(workdir, capsys, at):
+    pieces = workdir / "mono.json"
+    pieces.write_text(json.dumps([{"name": "m", "cells": [[0, 0]]}]))
+    tiling = workdir / "bad_at.json"
+    tiling.write_text(json.dumps({"rect": [1, 1],
+                                  "placements": [{"piece": "m", "at": at}]}))
+    capsys.readouterr()
+    assert _run("verify", pieces, tiling, "-o", workdir / "r.json") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_render_rect_tiling(workdir):
+    dom = workdir / "dominoes.json"
+    dom.write_text(json.dumps([
+        {"name": "h", "cells": [[0, 0], [1, 0]]},
+        {"name": "v", "cells": [[0, 0], [0, 1]]},
+    ]))
+    tiling = workdir / "rect_tiling.json"
+    assert _run("solve-poly", dom, "--rect", 2, 3, "-o", tiling) == 0
+    svg = workdir / "rect.svg"
+    assert _run("render", tiling, "--pieces", dom, "-o", svg) == 0
+    assert svg.read_text().count("<path") == 3
+
+
+def test_module_entry_point(workdir):
+    src = Path(polywang.__file__).resolve().parent.parent
+    out = workdir / "module_pieces.json"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "polywang.cli", "compile",
+         str(workdir / "set.json"), "-o", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(out.read_text())["pieces"]) == 7

@@ -11,7 +11,6 @@ from polywang.geometry import (
     canonical,
     is_connected,
     rasterize,
-    reduce_mod,
     translate,
 )
 
@@ -79,8 +78,8 @@ def test_is_connected():
 
 def test_reduce_mod_square_lattice():
     lat = TorusLattice((10, 0), (0, 10))
-    assert reduce_mod((0, 0), lat) == (0, 0)
-    assert reduce_mod((13, 2), lat) == (3, 2)
+    assert lat.reduce((0, 0)) == (0, 0)
+    assert lat.reduce((13, 2)) == (3, 2)
 
 
 def test_skew_lattice_representative_count():

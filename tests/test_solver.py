@@ -52,21 +52,16 @@ def test_first_mode():
     assert solve(build_universe(Rectangle(3, 3), (H_DOM, V_DOM)), "first") is None
 
 
-def test_thread_count_invariance():
-    for region in (Rectangle(2, 8), Rectangle(4, 4)):
-        universe = build_universe(region, (H_DOM, V_DOM))
-        counts = {solve(universe, "count", workers=w) for w in (1, 2, 4)}
-        assert len(counts) == 1
-        sols = [solve(universe, "enumerate", workers=w) for w in (1, 2, 4)]
-        assert sols[0] == sols[1] == sols[2]
-
-
 def test_limit_is_scheduling_independent():
-    universe = build_universe(Rectangle(2, 8), (H_DOM, V_DOM))
-    base = solve(universe, "enumerate", limit=10, workers=1)
-    assert len(base) == 10
-    for w in (2, 4):
-        assert solve(universe, "enumerate", limit=10, workers=w) == base
+    universe = build_universe(Rectangle(2, 10), (H_DOM, V_DOM))
+    full = solve(universe, "enumerate")
+    assert len(full) == 89
+    assert solve(universe, "enumerate", limit=10) == full[:10]
+    assert solve(universe, "count", limit=5) == 5
+    assert solve(universe, "count", limit=0) == 0
+    assert solve(universe, "first", limit=5) == full[0]
+    with pytest.raises(SolverInputError):
+        solve(universe, "count", limit=-1)
 
 
 def test_piece_permutation_invariance():
@@ -92,7 +87,15 @@ def test_search_limit_error():
     universe = build_universe(Rectangle(2, 10), (H_DOM, V_DOM))
     with pytest.raises(SearchLimitError) as err:
         solve(universe, "count", max_nodes=3)
-    assert err.value.partial_count >= 0
+    assert err.value.partial_count == 0
+    # The root pick is not a node: 318 nodes fall one short of all 89.
+    with pytest.raises(SearchLimitError) as err:
+        solve(universe, "count", max_nodes=50)
+    assert err.value.partial_count == 13
+    with pytest.raises(SearchLimitError) as err:
+        solve(universe, "count", max_nodes=318)
+    assert err.value.partial_count == 88
+    assert solve(universe, "count", max_nodes=319) == 89
 
 
 def test_check_tiling_reports():
