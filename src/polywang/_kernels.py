@@ -16,11 +16,10 @@ def reduce_points(xs, ys, a, b, c):
     return xr, yr
 
 
-def coverage_counts(xs, ys, a, b, c):
-    """Per-quotient-cell coverage multiplicities as a flat (a*b,) array."""
-    xr, yr = reduce_points(xs, ys, a, b, c)
-    idx = yr.astype(np.int64) * a + xr
-    return np.bincount(idx, minlength=a * b)
+def coverage_counts(idx, size):
+    """Coverage multiplicity of each of ``size`` cells, given the flat cell
+    index of every covered point."""
+    return np.bincount(idx, minlength=size)
 
 
 def backend() -> str:

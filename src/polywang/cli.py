@@ -11,7 +11,8 @@ import json
 import sys
 
 from . import compiler, render, simulate, solver, wang
-from .geometry import GeometryError, TorusLattice, bounding_box, is_connected
+from .geometry import (GeometryError, Polyomino, TorusLattice, bounding_box,
+                       is_connected)
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
@@ -102,20 +103,16 @@ def cmd_solve_poly(args) -> int:
 
 
 def _load_polyominoes(path: str):
-    from .geometry import Polyomino
     obj = _load_json(path)
     entries = obj["pieces"] if isinstance(obj, dict) else obj
-    return tuple(Polyomino(frozenset(map(tuple, e["cells"])), e["name"])
-                 for e in entries)
+    if not isinstance(entries, list):
+        raise CliError(f"{path}: pieces must be a list of piece entries")
+    return tuple(map(Polyomino.from_json, entries))
 
 
 def _tiling_json(region: solver.Region, placements) -> dict:
-    out = {"placements": [pl.to_json() for pl in placements]}
-    if isinstance(region, solver.Torus):
-        out["lattice"] = [list(region.lattice.b1), list(region.lattice.b2)]
-    else:
-        out["rect"] = [region.width, region.height]
-    return out
+    return {"placements": [pl.to_json() for pl in placements],
+            **region.to_json()}
 
 
 def cmd_simulate(args) -> int:
@@ -124,15 +121,6 @@ def cmd_simulate(args) -> int:
     sim = simulate.emit_placements(tileset, tiling)
     _dump_json(args.output, sim.to_json())
     return EXIT_OK
-
-
-def _region_from_tiling_json(obj: dict) -> solver.Region:
-    if "lattice" in obj:
-        return solver.Torus(TorusLattice(tuple(obj["lattice"][0]),
-                                         tuple(obj["lattice"][1])))
-    if "rect" in obj:
-        return solver.Rectangle(*obj["rect"])
-    raise CliError("tiling file lacks a region (lattice or rect)")
 
 
 def _placements(obj: dict) -> list[solver.Placement]:
@@ -144,7 +132,7 @@ def _placements(obj: dict) -> list[solver.Placement]:
 def cmd_verify(args) -> int:
     pieces = _load_polyominoes(args.pieces)
     obj = _load_json(args.tiling)
-    region = _region_from_tiling_json(obj)
+    region = solver.region_from_json(obj)
     report = solver.check_tiling(region, pieces, _placements(obj))
     _dump_json(args.output, report.to_json())
     return EXIT_OK if report.exact else EXIT_UNSAT
@@ -153,7 +141,7 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     obj = _load_json(args.input)
     spec = render.RenderSpec(cell_size=args.cell_size, grid=args.grid)
-    if "placements" in obj:
+    if isinstance(obj, dict) and "placements" in obj:
         # Only the placements are drawn, so torus and rect tilings render alike.
         if not args.pieces:
             raise CliError("rendering a tiling needs --pieces")

@@ -201,20 +201,13 @@ class SevenPieceSet:
             "n": self.source.n,
             "m": self.source.m,
             "t": self.source.t,
-            "pieces": [
-                {"name": p.name, "cells": [list(c) for c in p.canonical_cells()]}
-                for p in self.pieces
-            ],
+            "pieces": [p.to_json() for p in self.pieces],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "SevenPieceSet":
         source = WangTileSet.from_json(obj["source"])
-        pieces = tuple(
-            Polyomino(frozenset(map(tuple, entry["cells"])), entry["name"])
-            for entry in obj["pieces"]
-        )
-        return cls(pieces, source)
+        return cls(tuple(map(Polyomino.from_json, obj["pieces"])), source)
 
 
 def compile_pieces(tileset: WangTileSet) -> SevenPieceSet:

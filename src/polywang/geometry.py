@@ -14,6 +14,10 @@ Cell = tuple[int, int]
 Vec = tuple[int, int]
 CellSet = frozenset  # frozenset[Cell]
 
+# Coordinates read from JSON stay below this magnitude, so that adding a
+# piece cell to a placement offset cannot overflow int64 arithmetic.
+COORD_BOUND = 2 ** 31
+
 
 class GeometryError(ValueError):
     """Invalid polygon or degenerate lattice."""
@@ -22,6 +26,12 @@ class GeometryError(ValueError):
 def canonical(cells: Iterable[Cell]) -> tuple[Cell, ...]:
     """Cells sorted by (y, x), duplicate-free."""
     return tuple(sorted(set(cells), key=lambda c: (c[1], c[0])))
+
+
+def is_coord_pair(v) -> bool:
+    """Whether a JSON value is two ints (not bools) below COORD_BOUND."""
+    return (isinstance(v, list) and len(v) == 2
+            and all(type(x) is int and abs(x) < COORD_BOUND for x in v))
 
 
 def translate(cells: Iterable[Cell], v: Vec) -> CellSet:
@@ -257,3 +267,17 @@ class Polyomino:
 
     def canonical_cells(self) -> tuple[Cell, ...]:
         return canonical(self.cells)
+
+    def to_json(self) -> dict:
+        return {"name": self.name,
+                "cells": [list(c) for c in self.canonical_cells()]}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Polyomino":
+        """A piece from its ``{"name": str, "cells": [[x, y], ...]}`` entry."""
+        if not (isinstance(obj, dict) and isinstance(obj.get("name"), str)):
+            raise GeometryError("a piece entry needs a string 'name'")
+        cells = obj.get("cells")
+        if not (isinstance(cells, list) and all(map(is_coord_pair, cells))):
+            raise GeometryError(f"piece {obj['name']!r} needs 'cells': integer pairs")
+        return cls(frozenset(map(tuple, cells)), obj["name"])

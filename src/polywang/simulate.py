@@ -19,7 +19,7 @@ from .compiler import (
     encoder_width,
 )
 from .geometry import TorusLattice, Vec
-from .solver import Placement
+from .solver import Placement, SolverInputError, Torus, region_from_json
 from .wang import WangInputError, WangTileSet, WangTiling, validate
 
 PIECE_ORDER = {name: i for i, name in enumerate(PIECE_NAMES)}
@@ -69,15 +69,15 @@ class SimulatedTiling:
     placements: tuple[Placement, ...]
 
     def to_json(self) -> dict:
-        return {
-            "lattice": [list(self.lattice.b1), list(self.lattice.b2)],
-            "placements": [pl.to_json() for pl in self.placements],
-        }
+        return {**Torus(self.lattice).to_json(),
+                "placements": [pl.to_json() for pl in self.placements]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimulatedTiling":
-        lat = TorusLattice(tuple(obj["lattice"][0]), tuple(obj["lattice"][1]))
-        return cls(lat, tuple(Placement.from_json(p) for p in obj["placements"]))
+        region = region_from_json(obj)
+        if not isinstance(region, Torus):
+            raise SolverInputError("a simulated tiling needs a 'lattice'")
+        return cls(region.lattice, tuple(map(Placement.from_json, obj["placements"])))
 
 
 def _color_bit(color: int, bit_pos: int, t: int) -> int:

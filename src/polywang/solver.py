@@ -9,19 +9,16 @@ simulator output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import combinations, groupby, islice
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .geometry import Cell, CellSet, Polyomino, TorusLattice, Vec, canonical
+from .geometry import (Cell, CellSet, Polyomino, TorusLattice, Vec, canonical,
+                       is_coord_pair)
 
 SolveMode = Literal["first", "count", "enumerate"]
-
-# Placement coordinates stay below this magnitude so that adding piece cells
-# cannot overflow the int64 arithmetic of check_tiling.
-COORD_BOUND = 2 ** 31
 
 
 class SolverInputError(ValueError):
@@ -49,17 +46,56 @@ class Rectangle:
     def area(self) -> int:
         return self.width * self.height
 
+    def index(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Flat cell index y * width + x of each point; -1 outside."""
+        inside = (xs >= 0) & (xs < self.width) & (ys >= 0) & (ys < self.height)
+        return np.where(inside, ys * self.width + xs, -1)
+
+    def to_json(self) -> dict:
+        return {"rect": [self.width, self.height]}
+
 
 @dataclass(frozen=True)
 class Torus:
     lattice: TorusLattice
 
     @property
+    def width(self) -> int:
+        return self.lattice.hnf[0]
+
+    @property
+    def height(self) -> int:
+        return self.lattice.hnf[1]
+
+    @property
     def area(self) -> int:
         return self.lattice.num_cells
 
+    def index(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Flat index y * width + x of each point's representative cell."""
+        xr, yr = _kernels.reduce_points(xs, ys, *self.lattice.hnf)
+        return yr * self.width + xr
+
+    def to_json(self) -> dict:
+        return {"lattice": [list(self.lattice.b1), list(self.lattice.b2)]}
+
 
 Region = Rectangle | Torus
+
+
+def region_from_json(obj: dict) -> Region:
+    """The region of a tiling object: its "lattice" or its "rect" entry."""
+    if isinstance(obj, dict) and "lattice" in obj:
+        basis = obj["lattice"]
+        if not (isinstance(basis, list) and len(basis) == 2
+                and all(map(is_coord_pair, basis))):
+            raise SolverInputError(f"'lattice' must be two integer pairs, got {basis!r}")
+        return Torus(TorusLattice(*basis))
+    if isinstance(obj, dict) and "rect" in obj:
+        if not is_coord_pair(obj["rect"]):
+            raise SolverInputError(f"'rect' must be two integers, got {obj['rect']!r}")
+        return Rectangle(*obj["rect"])
+    raise SolverInputError("a tiling needs a region: 'lattice' or 'rect'")
 
 
 @dataclass(frozen=True)
@@ -75,8 +111,7 @@ class Placement:
         if not (isinstance(obj, dict) and isinstance(obj.get("piece"), str)):
             raise SolverInputError(f"placement needs a piece name: {obj!r}")
         at = obj.get("at")
-        if not (isinstance(at, list) and len(at) == 2
-                and all(type(v) is int and abs(v) < COORD_BOUND for v in at)):
+        if not is_coord_pair(at):
             raise SolverInputError(
                 f"placement 'at' must be two integers of magnitude below "
                 f"2**31, got {at!r}")
@@ -114,72 +149,46 @@ def _piece_map(pieces: Iterable[Polyomino]) -> dict[str, Polyomino]:
     return out
 
 
-def _piece_arrays(piece: Polyomino) -> tuple[np.ndarray, np.ndarray]:
-    cells = piece.canonical_cells()
-    arr = np.asarray(cells, dtype=np.int64)
-    return arr[:, 0].copy(), arr[:, 1].copy()
-
-
 def check_tiling(region: Region, pieces: Iterable[Polyomino],
                  placements: Sequence[Placement]) -> CoverReport:
-    """Coverage multiplicity per region cell; reports gaps and double covers."""
+    """Coverage multiplicity per region cell; reports gaps and double covers.
+
+    Each piece's cells are broadcast against the offsets of its placements,
+    so the work in Python is per piece, not per placement.
+    """
     table = _piece_map(pieces)
-    for pl in placements:
+    groups: dict[str, list[int]] = {}
+    for i, pl in enumerate(placements):
         if pl.piece not in table:
             raise SolverInputError(f"unknown piece {pl.piece!r}")
-    if isinstance(region, Torus):
-        a, b, c = region.lattice.hnf
-    else:
-        a, b, c = region.width, region.height, 0
+        groups.setdefault(pl.piece, []).append(i)
+    cells = [np.asarray(table[name].canonical_cells(), dtype=np.int64)
+             for name in groups]
+    offsets = [np.asarray([placements[i].at for i in pids], dtype=np.int64)
+               for pids in groups.values()]
+    xs, ys = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + [
+        (at[:, None] + c).reshape(-1, 2) for c, at in zip(cells, offsets)]).T
+    idx = region.index(xs, ys)
+    outside = idx < 0
+    out_of_region = canonical(zip(xs[outside].tolist(), ys[outside].tolist()))
+    counts = _kernels.coverage_counts(idx[~outside], region.area)
 
-    sizes = []
-    xs_parts, ys_parts = [], []
-    for pl in placements:
-        px, py = _piece_arrays(table[pl.piece])
-        xs_parts.append(px + pl.at[0])
-        ys_parts.append(py + pl.at[1])
-        sizes.append(px.shape[0])
-    if placements:
-        xs = np.concatenate(xs_parts)
-        ys = np.concatenate(ys_parts)
-    else:
-        xs = ys = np.zeros(0, dtype=np.int64)
-
-    out_of_region: tuple[Cell, ...] = ()
-    if isinstance(region, Torus):
-        counts = _kernels.coverage_counts(xs, ys, a, b, c)
-        xr, yr = _kernels.reduce_points(xs, ys, a, b, c)
-    else:
-        inside = (xs >= 0) & (xs < a) & (ys >= 0) & (ys < b)
-        out_of_region = canonical(zip(xs[~inside].tolist(), ys[~inside].tolist()))
-        xr, yr = xs, ys
-        idx_in = yr[inside] * a + xr[inside]
-        counts = np.bincount(idx_in, minlength=a * b)
-        # keep per-placement reduced coords aligned for the overlap pass
-        xr = np.where(inside, xr, -1)
-
-    holes = np.flatnonzero(counts == 0)
-    uncovered = canonical(((int(i) % a, int(i) // a) for i in holes))
+    width = region.width
+    uncovered = tuple((v % width, v // width)
+                      for v in np.flatnonzero(counts == 0).tolist())
 
     overlaps: list[tuple[Cell, int, int]] = []
-    if np.any(counts > 1):
-        hot = set(np.flatnonzero(counts > 1).tolist())
-        covered_by: dict[int, list[int]] = {h: [] for h in hot}
-        pos = 0
-        for pi, size in enumerate(sizes):
-            seg_x = xr[pos:pos + size]
-            seg_y = yr[pos:pos + size]
-            pos += size
-            idx = seg_y * a + seg_x
-            for v in idx.tolist():
-                if v in covered_by:
-                    covered_by[v].append(pi)
-        for v in sorted(covered_by):
-            cell = (v % a, v // a)
-            owners = covered_by[v]
-            for i in range(len(owners)):
-                for j in range(i + 1, len(owners)):
-                    overlaps.append((cell, owners[i], owners[j]))
+    hot = np.flatnonzero(counts > 1)
+    if hot.size:
+        owners = np.concatenate([np.repeat(pids, len(c))
+                                 for pids, c in zip(groups.values(), cells)])
+        at = np.flatnonzero(np.isin(idx, hot))
+        at = at[np.lexsort((owners[at], idx[at]))]
+        points = zip(idx[at].tolist(), owners[at].tolist())
+        # A piece wrapped round a small torus can pair with itself.
+        for v, run in groupby(points, key=lambda point: point[0]):
+            overlaps.extend(((v % width, v // width), i, j)
+                            for (_, i), (_, j) in combinations(run, 2))
     return CoverReport(uncovered, tuple(overlaps), out_of_region)
 
 
@@ -190,14 +199,10 @@ def contained_placements(container: CellSet,
     out: list[Placement] = []
     for piece in pieces:
         cells = piece.canonical_cells()
-        anchor = cells[0]
-        offsets = set()
-        for cx, cy in container:
-            v = (cx - anchor[0], cy - anchor[1])
-            if all((x + v[0], y + v[1]) in container for x, y in cells):
-                offsets.add(v)
-        out.extend(Placement(piece.name, v)
-                   for v in sorted(offsets, key=lambda o: (o[1], o[0])))
+        ax, ay = cells[0]
+        out.extend(Placement(piece.name, (cx - ax, cy - ay))
+                   for cx, cy in canonical(container)
+                   if all((x + cx - ax, y + cy - ay) in container for x, y in cells))
     return out
 
 
@@ -215,47 +220,22 @@ class PlacementUniverse:
     _cover: list[tuple[int, ...]] = field(default_factory=list)
     _candidates: list[list[int]] = field(default_factory=list)
 
-    @property
-    def num_cells(self) -> int:
-        return self.region.area
-
 
 def build_universe(region: Region, pieces: Sequence[Polyomino]) -> PlacementUniverse:
+    """Anchor each piece's first canonical cell at every region cell in
+    turn; keep the placements whose cells are inside and pairwise distinct."""
     _piece_map(pieces)  # uniqueness check
     uni = PlacementUniverse(region, tuple(pieces))
-    if isinstance(region, Rectangle):
-        a, b = region.width, region.height
-        def all_offsets(piece: Polyomino):
-            xs = [c[0] for c in piece.cells]
-            ys = [c[1] for c in piece.cells]
-            for oy in range(-min(ys), b - max(ys)):
-                for ox in range(-min(xs), a - max(xs)):
-                    yield (ox, oy)
-        def reduce_cell(x, y):
-            return (x, y)
-    else:
-        lat = region.lattice
-        a, b, _ = lat.hnf
-        def all_offsets(piece: Polyomino):
-            anchor = piece.canonical_cells()[0]
-            for ry in range(b):
-                for rx in range(a):
-                    yield (rx - anchor[0], ry - anchor[1])
-        def reduce_cell(x, y):
-            return lat.reduce((x, y))
-
-    seen: set[tuple[int, int]] = set()
+    ry, rx = np.indices((region.height, region.width)).reshape(2, -1)
     for piece in uni.pieces:
-        for off in all_offsets(piece):
-            idxs = []
-            for x, y in piece.canonical_cells():
-                cx, cy = reduce_cell(x + off[0], y + off[1])
-                idxs.append(cy * a + cx)
-            key = tuple(sorted(idxs))
-            if len(set(key)) != len(key):
-                continue  # piece self-overlaps on a tiny torus
-            uni.placements.append(Placement(piece.name, off))
-            uni._cover.append(tuple(idxs))
+        cells = np.asarray(piece.canonical_cells(), dtype=np.int64)
+        ox, oy = rx - cells[0, 0], ry - cells[0, 1]
+        idx = region.index(ox[:, None] + cells[:, 0], oy[:, None] + cells[:, 1])
+        ranked = np.sort(idx, axis=1)
+        keep = (ranked[:, 0] >= 0) & (np.diff(ranked, axis=1) != 0).all(axis=1)
+        uni.placements += [Placement(piece.name, at) for at
+                           in zip(ox[keep].tolist(), oy[keep].tolist())]
+        uni._cover += map(tuple, idx[keep].tolist())
     uni._candidates = [[] for _ in range(region.area)]
     for pid, cover in enumerate(uni._cover):
         for idx in cover:
@@ -293,7 +273,7 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
     """
     if limit is not None and limit < 0:
         raise SolverInputError("limit must be nonnegative")
-    n_cells = universe.num_cells
+    n_cells = universe.region.area
     cover = universe._cover
     candidates = universe._candidates
     areas = [len(p.cells) for p in universe.pieces]

@@ -83,7 +83,13 @@ class WangTileSet:
             tiles = [(t["n"], t["e"], t["s"], t["w"]) for t in obj["tiles"]]
         except (KeyError, TypeError) as exc:
             raise WangInputError(f"bad tile set object: {exc}") from exc
-        return cls.from_labels(tiles, obj.get("colors"))
+        colors = obj.get("colors")
+        if colors is not None and not isinstance(colors, list):
+            raise WangInputError("'colors' must be a list of labels")
+        labels = [label for edges in tiles for label in edges] + (colors or [])
+        if not all(isinstance(label, str) for label in labels):
+            raise WangInputError("colors and edge labels must be strings")
+        return cls.from_labels(tiles, colors)
 
     def to_json(self) -> dict:
         return {
@@ -116,8 +122,14 @@ class WangTiling:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WangTiling":
-        return cls(obj["p"], obj["q"], bool(obj.get("torus", False)),
-                   tuple(obj["cells"]))
+        if not isinstance(obj, dict):
+            raise WangInputError("a Wang tiling must be a JSON object")
+        p, q, cells = obj.get("p"), obj.get("q"), obj.get("cells")
+        if not (type(p) is int and type(q) is int):
+            raise WangInputError(f"'p' and 'q' must be integers, got {p!r}, {q!r}")
+        if not (isinstance(cells, list) and all(type(c) is int for c in cells)):
+            raise WangInputError("'cells' must be a list of integer tile indices")
+        return cls(p, q, bool(obj.get("torus", False)), tuple(cells))
 
     def to_json(self) -> dict:
         return {"p": self.p, "q": self.q, "torus": self.torus,

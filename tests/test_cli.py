@@ -153,3 +153,59 @@ def test_module_entry_point(workdir):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(out.read_text())["pieces"]) == 7
+
+
+_MONO = [{"name": "m", "cells": [[0, 0]]}]
+_BAD_LABEL_SET = {**THREE_TILE_JSON, "tiles": [
+    {**THREE_TILE_JSON["tiles"][0], "n": ["a"]}, *THREE_TILE_JSON["tiles"][1:]]}
+_BAD_PIECES = {"bare-number": 5,
+               "cells-number": [{"name": "m", "cells": 5}],
+               "cells-strings": [{"name": "m", "cells": [["a", "b"]]}]}
+
+# One malformed file per case: (subcommand, file it replaces, its JSON).
+# Each file is well formed but for the one bad value.
+_INPUT_ERRORS = {
+    **{f"verify-{name}": ("verify", "tiling", {**region, "placements": []})
+       for name, region in {
+           "lattice-short-row": {"lattice": [[1], [0, 1]]},
+           "lattice-float": {"lattice": [[2.5, 0], [0, 2]]},
+           "rect-string": {"rect": ["a", 1]},
+           "rect-short": {"rect": [2]},
+           "rect-float": {"rect": [2.0, 2]},
+           "rect-bool": {"rect": [True, 2]}}.items()},
+    **{f"{cmd}-{name}": (cmd, "pieces", bad)
+       for cmd in ("verify", "solve-poly", "render")
+       for name, bad in _BAD_PIECES.items()},
+    **{f"simulate-{name}": ("simulate", "wang_tiling",
+                            {"p": 1, "q": 1, "torus": True, **fields})
+       for name, fields in {
+           "cells-string": {"cells": ["0"]},
+           "cells-float": {"cells": [0.0]},
+           "cells-number": {"cells": 5},
+           "p-string": {"p": "1", "cells": [0]}}.items()},
+    "compile-label-list": ("compile", "wang_set", _BAD_LABEL_SET),
+    "solve-wang-label-list": ("solve-wang", "wang_set", _BAD_LABEL_SET),
+}
+
+
+@pytest.mark.parametrize("case", list(_INPUT_ERRORS))
+def test_malformed_input_is_input_error(tmp_path, capsys, case):
+    cmd, replaced, bad = _INPUT_ERRORS[case]
+    files = {"pieces": _MONO, "wang_set": THREE_TILE_JSON,
+             "tiling": {"rect": [1, 1], "placements": []},
+             "wang_tiling": {"p": 1, "q": 1, "torus": True, "cells": [0]},
+             replaced: bad}
+    path = {}
+    for name, obj in files.items():
+        path[name] = tmp_path / f"{name}.json"
+        path[name].write_text(json.dumps(obj))
+    argv = {"verify": ["verify", path["pieces"], path["tiling"]],
+            "solve-poly": ["solve-poly", path["pieces"], "--rect", 1, 1],
+            "render": ["render", path["pieces"]],
+            "simulate": ["simulate", path["wang_set"], path["wang_tiling"]],
+            "compile": ["compile", path["wang_set"]],
+            "solve-wang": ["solve-wang", path["wang_set"], "--torus", 1, 1]}[cmd]
+    capsys.readouterr()
+    assert _run(*argv, "-o", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err

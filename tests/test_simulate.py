@@ -9,7 +9,7 @@ from polywang.simulate import (
     linker_alignment_check,
     wang_cell_to_diamond,
 )
-from polywang.solver import Torus, check_tiling
+from polywang.solver import SolverInputError, Torus, check_tiling
 from polywang.wang import WangInputError, WangTile, WangTileSet, WangTiling
 
 
@@ -117,3 +117,5 @@ def test_simulated_tiling_round_trip(three_tile_set, three_tile_torus):
     sim = emit_placements(three_tile_set, three_tile_torus)
     back = SimulatedTiling.from_json(sim.to_json())
     assert back == sim
+    with pytest.raises(SolverInputError):
+        SimulatedTiling.from_json({"rect": [2, 2], "placements": []})

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polywang.blocks import BlockKind, geometry
 from polywang.geometry import Polyomino, TorusLattice, translate
@@ -114,6 +116,83 @@ def test_check_tiling_reports():
     outside = check_tiling(region, (V_DOM,), good + [Placement("v", (5, 0))])
     assert set(outside.out_of_region) == {(5, 0), (5, 1)}
     assert not outside.exact
+
+    # Cells outside a rectangle own no region cell, so they take no part in
+    # the overlap records of the cells inside it.
+    stray = check_tiling(Rectangle(3, 2), (MONO,), [
+        Placement("mono", (2, 0)), Placement("mono", (2, 0)),
+        Placement("mono", (7, 1))])
+    assert stray.overlaps == (((2, 0), 0, 1),)
+    assert stray.out_of_region == ((7, 1),)
+
+
+def _cover_oracle(region, pieces, placements):
+    """check_tiling's report, from a dict of each cell's owning placements."""
+    table = {p.name: p for p in pieces}
+    owners, outside = {}, set()
+    for i, pl in enumerate(placements):
+        for x, y in table[pl.piece].canonical_cells():
+            cell = (x + pl.at[0], y + pl.at[1])
+            if isinstance(region, Torus):
+                cell = region.lattice.reduce(cell)
+            elif not (0 <= cell[0] < region.width and 0 <= cell[1] < region.height):
+                outside.add(cell)
+                continue
+            owners.setdefault(cell, []).append(i)
+    if isinstance(region, Torus):
+        cells = list(region.lattice.representatives())
+    else:
+        cells = [(x, y) for y in range(region.height) for x in range(region.width)]
+    overlaps = []
+    for cell in cells:
+        own = owners.get(cell, [])
+        for i in range(len(own)):
+            for j in range(i + 1, len(own)):
+                overlaps.append((cell, own[i], own[j]))
+    return (tuple(c for c in cells if c not in owners), tuple(overlaps),
+            tuple(sorted(outside, key=lambda c: (c[1], c[0]))))
+
+
+def _torus_lattices():
+    small = st.integers(-4, 4)
+    basis = st.tuples(st.tuples(small, small), st.tuples(small, small))
+    return basis.filter(lambda b: 0 < abs(b[0][0] * b[1][1] - b[0][1] * b[1][0]) <= 12) \
+        .map(lambda b: Torus(TorusLattice(*b)))
+
+
+_REGIONS = st.one_of(
+    st.builds(Rectangle, st.integers(1, 4), st.integers(1, 4)), _torus_lattices())
+_PLACEMENTS = st.lists(st.builds(
+    Placement, st.sampled_from(["mono", "h", "v", "L"]),
+    st.tuples(st.integers(-3, 6), st.integers(-3, 6))), max_size=8)
+
+
+@given(_REGIONS, _PLACEMENTS)
+# A domino on a one-cell torus and an L tromino on a 2-cell ring cover one
+# cell twice: their self-pairs (i, i) stay.
+@example(Torus(TorusLattice((1, 0), (0, 1))), [Placement("h", (0, 0))])
+@example(Torus(TorusLattice((2, 0), (1, 1))), [Placement("L", (0, 0)),
+                                               Placement("mono", (5, 3))])
+@settings(max_examples=300, deadline=None)
+def test_check_tiling_matches_owner_oracle(region, placements):
+    pieces = (MONO, H_DOM, V_DOM, L_TROMINO)
+    report = check_tiling(region, pieces, placements)
+    assert (report.uncovered, report.overlaps, report.out_of_region) == \
+        _cover_oracle(region, pieces, placements)
+
+
+def test_build_universe_pinned_rows():
+    rect = build_universe(Rectangle(3, 2), (L_TROMINO, H_DOM))
+    assert [(pl.piece, pl.at) for pl in rect.placements] == [
+        ("L", (0, 0)), ("L", (1, 0)),
+        ("h", (0, 0)), ("h", (1, 0)), ("h", (0, 1)), ("h", (1, 1))]
+    assert rect._cover == [(0, 1, 3), (1, 2, 4), (0, 1), (1, 2), (3, 4), (4, 5)]
+    # A skewed basis of a 5-cell ring: each piece fits at every cell.
+    ring = build_universe(Torus(TorusLattice((3, 1), (1, 2))), (L_TROMINO, H_DOM))
+    assert [(pl.piece, pl.at) for pl in ring.placements] == \
+        [("L", (x, 0)) for x in range(5)] + [("h", (x, 0)) for x in range(5)]
+    assert ring._cover == [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1),
+                           (0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 
 
 def test_check_tiling_torus_wraps():
