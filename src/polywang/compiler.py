@@ -210,10 +210,15 @@ class SevenPieceSet:
         return cls(tuple(map(Polyomino.from_json, obj["pieces"])), source)
 
 
-def compile_pieces(tileset: WangTileSet) -> SevenPieceSet:
-    """Compile a Wang tile set into its seven polyominoes."""
+def require_supported(tileset: WangTileSet) -> None:
+    """Reject a Wang set the construction does not cover."""
     if tileset.n < 2 or tileset.m < 2:
         raise CompileError("need at least 2 tiles and 2 colors")
+
+
+def compile_pieces(tileset: WangTileSet) -> SevenPieceSet:
+    """Compile a Wang tile set into its seven polyominoes."""
+    require_supported(tileset)
     pieces = (
         assemble(_encoder_grid(tileset), "encoder"),
         assemble(_linker_grid(tileset, TAB_ANCHOR_LEFT), "l_linker"),

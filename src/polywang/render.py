@@ -1,8 +1,9 @@
 """Deterministic SVG rendering of piece sets and tilings.
 
-Each piece placement becomes one closed path tracing its cell boundary
-(outer loops and holes, even-odd fill).  Stored data keeps y growing north;
-the y-flip into SVG screen coordinates happens only here.
+Each distinct piece is traced once, as one closed path along its cell
+boundary (outer loops and holes, even-odd fill) under ``<defs>``; each
+placement is one ``<use>`` of that path at its offset.  Stored data keeps y
+growing north; the y-flip into SVG screen coordinates happens only here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 from .compiler import SevenPieceSet
 from .geometry import Cell, CellSet, Polyomino, bounding_box
 from .simulate import SimulatedTiling
-from .solver import Placement
+from .solver import Placement, piece_map
 
 PALETTE = ("#7b52ab", "#e8833a", "#3a7bd5", "#4caf50",
            "#d54a3a", "#c2a83e", "#5bb8b4")
@@ -27,6 +28,10 @@ class RenderError(ValueError):
 class RenderSpec:
     cell_size: int = 4
     grid: bool = False
+
+    def __post_init__(self):
+        if self.cell_size < 1:
+            raise RenderError(f"cell size must be at least 1, not {self.cell_size}")
 
 
 def boundary_loops(cells: CellSet) -> list[list[Cell]]:
@@ -108,44 +113,48 @@ def render_svg(spec: RenderSpec,
     a rectangle renders like the placements of a torus tiling.
     """
     s = spec.cell_size
-    shapes: list[tuple[str, CellSet]] = []
     if isinstance(payload, SimulatedTiling):
         payload = payload.placements
     items = list(payload.pieces) if isinstance(payload, SevenPieceSet) else list(payload)
-    if items and isinstance(items[0], Placement):
+    if not items:
+        raise RenderError("empty payload")
+    # Both payloads become shapes plus (shape index, offset) entries.
+    if isinstance(items[0], Placement):
         if pieces is None:
             raise RenderError("tiling rendering needs the piece set")
-        table = {p.name: p for p in pieces}
-        names = sorted(table)
+        shapes = sorted(piece_map(pieces).values(), key=lambda p: p.name)
+        rank = {p.name: k for k, p in enumerate(shapes)}
+        entries = []
         for pl in items:
-            if pl.piece not in table:
+            if pl.piece not in rank:
                 raise RenderError(f"unknown piece {pl.piece!r}")
-            color = PALETTE[names.index(pl.piece) % len(PALETTE)]
-            cells = frozenset((x + pl.at[0], y + pl.at[1])
-                              for x, y in table[pl.piece].cells)
-            shapes.append((color, cells))
+            entries.append((rank[pl.piece], pl.at))
     else:
-        cursor = 0
-        for i, piece in enumerate(items):
+        shapes, entries, cursor = items, [], 0
+        for k, piece in enumerate(items):
             x0, y0, x1, _ = bounding_box(piece.cells)
-            cells = frozenset((x - x0 + cursor, y - y0) for x, y in piece.cells)
-            shapes.append((PALETTE[i % len(PALETTE)], cells))
+            entries.append((k, (cursor - x0, -y0)))
             cursor += (x1 - x0) + 2
-    if not shapes:
-        raise RenderError("empty payload")
 
-    allc = [c for _, cs in shapes for c in cs]
-    x0, y0, x1, y1 = bounding_box(allc)
+    boxes = [bounding_box(p.cells) for p in shapes]
+    x0 = min(boxes[k][0] + ax for k, (ax, _) in entries)
+    y0 = min(boxes[k][1] + ay for k, (_, ay) in entries)
+    x1 = max(boxes[k][2] + ax for k, (ax, _) in entries)
+    y1 = max(boxes[k][3] + ay for k, (_, ay) in entries)
     w, h = (x1 - x0 + 2) * s, (y1 - y0 + 2) * s
     flip = y1 + 1  # top margin of one cell after the flip
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="{(x0 - 1) * s} 0 {w} {h}">',
+        "<defs>",
     ]
-    for color, cells in shapes:
-        d = path_data(cells, s, flip)
-        lines.append(f'<path d="{d}" fill="{color}" fill-rule="evenodd" '
+    for k, piece in enumerate(shapes):
+        lines.append(f'<path id="p{k}" d="{path_data(piece.cells, s, 0)}" '
+                     f'fill="{PALETTE[k % len(PALETTE)]}" fill-rule="evenodd" '
                      f'stroke="#222" stroke-width="0.5"/>')
+    lines.append("</defs>")
+    for k, (ax, ay) in entries:
+        lines.append(f'<use href="#p{k}" x="{ax * s}" y="{(flip - ay) * s}"/>')
     if spec.grid:
         for gx in range(x0, x1 + 1):
             lines.append(f'<line x1="{gx * s}" y1="{(flip - y1) * s}" '

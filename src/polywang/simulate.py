@@ -15,8 +15,10 @@ from .compiler import (
     PIECE_NAMES,
     TAB_ANCHOR_LEFT,
     TAB_ANCHOR_RIGHT,
+    encode_color,
     encoder_block_at,
     encoder_width,
+    require_supported,
 )
 from .geometry import TorusLattice, Vec
 from .solver import Placement, SolverInputError, Torus, region_from_json
@@ -80,19 +82,7 @@ class SimulatedTiling:
         return cls(region.lattice, tuple(map(Placement.from_json, obj["placements"])))
 
 
-def _color_bit(color: int, bit_pos: int, t: int) -> int:
-    """1-based big-endian bit of a color index."""
-    return (color >> (t - bit_pos)) & 1
-
-
-def _linker_name(bit: int) -> str:
-    return "r_linker" if bit else "l_linker"
-
-
-def _own_bit_columns(n: int, t: int, i: int) -> set[int]:
-    """Encoder columns carrying tile i's own color bits (both outer rows)."""
-    return ({2 * n * j + 2 * (i - 1) for j in range(t)}
-            | {2 * n * (t + 1 + j) + 2 * (i - 1) for j in range(t)})
+_LINKER_NAME = {BlockKind.SLOT_LEFT: "l_linker", BlockKind.SLOT_RIGHT: "r_linker"}
 
 
 def _cell_placements(tileset: WangTileSet, tiling: WangTiling,
@@ -118,19 +108,17 @@ def _cell_placements(tileset: WangTileSet, tiling: WangTiling,
     for j in range(n - 1 - k):
         out.append(at_block("b_filler", ex + encoder_width(tileset) + 2 * j, 6 * v))
 
-    # Gap row above: one linker per color bit, typed by the bit value.
+    # Gap row above: one linker per color bit, typed by the bit's slot kind.
+    west, north = encode_color(tile.west, t), encode_color(tile.north, t)
     for j in range(t):
-        nw_bit = _color_bit(tile.west, j + 1, t)
-        out.append(at_block(_linker_name(nw_bit), kx + 2 * n * (j + 1), 6 * v + 3))
-        ne_bit = _color_bit(tile.north, j + 1, t)
-        out.append(at_block(_linker_name(ne_bit),
+        out.append(at_block(_LINKER_NAME[west[j]], kx + 2 * n * (j + 1), 6 * v + 3))
+        out.append(at_block(_LINKER_NAME[north[j]],
                             kx + P // 2 + 2 * n * (j + 1), 6 * v + 3))
 
     # Tiny fillers in every slot column that is not one of tile i's own.
-    own = _own_bit_columns(n, t, i)
     for row in (0, 2):
         for col in range(0, encoder_width(tileset), 2):
-            if col in own:
+            if col % (2 * n) == 2 * (i - 1):
                 continue
             kind = encoder_block_at(tileset, col, row)
             if kind == BlockKind.SLOT_LEFT:
@@ -144,6 +132,7 @@ def _cell_placements(tileset: WangTileSet, tiling: WangTiling,
 
 def emit_placements(tileset: WangTileSet, tiling: WangTiling) -> SimulatedTiling:
     """Forward-translate a valid Wang torus tiling into piece placements."""
+    require_supported(tileset)
     if not tiling.torus:
         raise WangInputError("simulation requires a torus tiling")
     if validate(tileset, tiling):
@@ -188,7 +177,7 @@ def linker_alignment_check(tileset: WangTileSet,
                 below = encoder_block_at(tileset, 2 * n * j + 2 * (i - 1), 2)
                 above = encoder_block_at(
                     tileset, 2 * n * (t + 1 + j) + 2 * (i_w - 1), 0)
-                linker = _slot_kind(_color_bit(tile.west, j + 1, t))
+                linker = encode_color(tile.west, t)[j]
                 if not (below == above == linker):
                     mismatches.append(_mismatch("nw", a, b, j, linker, below, above))
                 # North-east linker: N bits of (a, b) against S bits of the
@@ -197,14 +186,10 @@ def linker_alignment_check(tileset: WangTileSet,
                 below = encoder_block_at(
                     tileset, 2 * n * (t + 1 + j) + 2 * (i - 1), 2)
                 above = encoder_block_at(tileset, 2 * n * j + 2 * (i_n - 1), 0)
-                linker = _slot_kind(_color_bit(tile.north, j + 1, t))
+                linker = encode_color(tile.north, t)[j]
                 if not (below == above == linker):
                     mismatches.append(_mismatch("ne", a, b, j, linker, below, above))
     return mismatches
-
-
-def _slot_kind(bit: int) -> BlockKind:
-    return BlockKind.SLOT_RIGHT if bit else BlockKind.SLOT_LEFT
 
 
 def _mismatch(side: str, a: int, b: int, bit: int, linker, below, above) -> dict:

@@ -140,7 +140,7 @@ class CoverReport:
         }
 
 
-def _piece_map(pieces: Iterable[Polyomino]) -> dict[str, Polyomino]:
+def piece_map(pieces: Iterable[Polyomino]) -> dict[str, Polyomino]:
     out: dict[str, Polyomino] = {}
     for p in pieces:
         if p.name in out:
@@ -156,7 +156,7 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
     Each piece's cells are broadcast against the offsets of its placements,
     so the work in Python is per piece, not per placement.
     """
-    table = _piece_map(pieces)
+    table = piece_map(pieces)
     groups: dict[str, list[int]] = {}
     for i, pl in enumerate(placements):
         if pl.piece not in table:
@@ -224,7 +224,7 @@ class PlacementUniverse:
 def build_universe(region: Region, pieces: Sequence[Polyomino]) -> PlacementUniverse:
     """Anchor each piece's first canonical cell at every region cell in
     turn; keep the placements whose cells are inside and pairwise distinct."""
-    _piece_map(pieces)  # uniqueness check
+    piece_map(pieces)  # uniqueness check
     uni = PlacementUniverse(region, tuple(pieces))
     ry, rx = np.indices((region.height, region.width)).reshape(2, -1)
     for piece in uni.pieces:

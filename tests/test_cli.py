@@ -80,7 +80,7 @@ def test_simulate_verify_render(workdir):
 
     svg = workdir / "sim.svg"
     assert _run("render", sim, "--pieces", pieces, "-o", svg) == 0
-    assert svg.read_text().count("<path") == 72
+    assert svg.read_text().count("<use") == 72
     psvg = workdir / "pieces.svg"
     assert _run("render", pieces, "-o", psvg) == 0
     assert psvg.read_text().count("<path") == 7
@@ -140,7 +140,7 @@ def test_render_rect_tiling(workdir):
     assert _run("solve-poly", dom, "--rect", 2, 3, "-o", tiling) == 0
     svg = workdir / "rect.svg"
     assert _run("render", tiling, "--pieces", dom, "-o", svg) == 0
-    assert svg.read_text().count("<path") == 3
+    assert svg.read_text().count("<use") == 3
 
 
 def test_module_entry_point(workdir):
@@ -162,8 +162,10 @@ _BAD_PIECES = {"bare-number": 5,
                "cells-number": [{"name": "m", "cells": 5}],
                "cells-strings": [{"name": "m", "cells": [["a", "b"]]}]}
 
-# One malformed file per case: (subcommand, file it replaces, its JSON).
-# Each file is well formed but for the one bad value.
+_ONE_TILE_SET = {"colors": ["a"], "tiles": [{"n": "a", "e": "a", "s": "a", "w": "a"}]}
+
+# One malformed input per case: (subcommand and its options, file it
+# replaces, its JSON).  Each input is well formed but for the one bad value.
 _INPUT_ERRORS = {
     **{f"verify-{name}": ("verify", "tiling", {**region, "placements": []})
        for name, region in {
@@ -185,14 +187,20 @@ _INPUT_ERRORS = {
            "p-string": {"p": "1", "cells": [0]}}.items()},
     "compile-label-list": ("compile", "wang_set", _BAD_LABEL_SET),
     "solve-wang-label-list": ("solve-wang", "wang_set", _BAD_LABEL_SET),
+    "simulate-one-tile-one-color": ("simulate", "wang_set", _ONE_TILE_SET),
+    "render-tiling-duplicate-name": ("render-tiling", "pieces", _MONO + _MONO),
+    "render-cell-size-0": ("render --cell-size 0", "pieces", _MONO),
+    "render-cell-size-negative": ("render --cell-size -3", "pieces", _MONO),
 }
 
 
 @pytest.mark.parametrize("case", list(_INPUT_ERRORS))
 def test_malformed_input_is_input_error(tmp_path, capsys, case):
     cmd, replaced, bad = _INPUT_ERRORS[case]
+    cmd, *options = cmd.split()
     files = {"pieces": _MONO, "wang_set": THREE_TILE_JSON,
-             "tiling": {"rect": [1, 1], "placements": []},
+             "tiling": {"rect": [1, 1],
+                        "placements": [{"piece": "m", "at": [0, 0]}]},
              "wang_tiling": {"p": 1, "q": 1, "torus": True, "cells": [0]},
              replaced: bad}
     path = {}
@@ -202,10 +210,11 @@ def test_malformed_input_is_input_error(tmp_path, capsys, case):
     argv = {"verify": ["verify", path["pieces"], path["tiling"]],
             "solve-poly": ["solve-poly", path["pieces"], "--rect", 1, 1],
             "render": ["render", path["pieces"]],
+            "render-tiling": ["render", path["tiling"], "--pieces", path["pieces"]],
             "simulate": ["simulate", path["wang_set"], path["wang_tiling"]],
             "compile": ["compile", path["wang_set"]],
             "solve-wang": ["solve-wang", path["wang_set"], "--torus", 1, 1]}[cmd]
     capsys.readouterr()
-    assert _run(*argv, "-o", tmp_path / "out") == 2
+    assert _run(*argv, *options, "-o", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,9 +1,15 @@
+import re
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from polywang.blocks import BlockKind, block_cells
-from polywang.render import RenderSpec, RenderError, boundary_loops, render_svg
+from polywang.render import (PALETTE, RenderSpec, RenderError, boundary_loops,
+                             path_data, render_svg)
 from polywang.simulate import emit_placements
-from polywang.geometry import Polyomino
+from polywang.geometry import Polyomino, bounding_box, translate
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def _signed_area(loop):
@@ -36,7 +42,7 @@ def test_tiling_renders_one_path_per_placement(
         three_tile_set, three_tile_torus, three_tile_pieces):
     sim = emit_placements(three_tile_set, three_tile_torus)
     svg = render_svg(RenderSpec(cell_size=2), sim, three_tile_pieces.pieces)
-    assert svg.count("<path") == 72
+    assert svg.count("<use") == 72
 
 
 def test_render_is_deterministic(three_tile_pieces):
@@ -54,3 +60,46 @@ def test_grid_lines():
     piece = Polyomino(frozenset({(0, 0), (1, 0)}), "d")
     svg = render_svg(RenderSpec(grid=True), [piece])
     assert "<line" in svg
+
+
+def _drawn(svg):
+    """(d, fill) of each drawn shape: each <use> expanded by its <defs> path."""
+    root = ET.fromstring(svg)
+    defs = {p.get("id"): p for p in root.find(SVG + "defs")}
+    out = []
+    for use in root.findall(SVG + "use"):
+        path = defs[use.get("href").removeprefix("#")]
+        x, y = int(use.get("x")), int(use.get("y"))
+        d = re.sub(r"(-?\d+),(-?\d+)",
+                   lambda m: f"{int(m[1]) + x},{int(m[2]) + y}", path.get("d"))
+        out.append((d, path.get("fill")))
+    return out, len(defs)
+
+
+def _traced(placed, scale):
+    """(d, fill) of each placed cell set, traced on its own in place."""
+    flip = bounding_box([c for cells, _ in placed for c in cells])[3] + 1
+    return [(path_data(cells, scale, flip), fill) for cells, fill in placed]
+
+
+def test_tiling_uses_expand_to_placement_paths(
+        three_tile_set, three_tile_torus, three_tile_pieces):
+    sim = emit_placements(three_tile_set, three_tile_torus)
+    names = sorted(p.name for p in three_tile_pieces.pieces)
+    placed = [(translate(three_tile_pieces[pl.piece].cells, pl.at),
+               PALETTE[names.index(pl.piece) % len(PALETTE)])
+              for pl in sim.placements]
+    svg = render_svg(RenderSpec(cell_size=2), sim, three_tile_pieces.pieces)
+    assert _drawn(svg) == (_traced(placed, 2), 7)
+
+
+def test_piece_set_uses_expand_to_row_layout(three_tile_pieces):
+    placed, cursor = [], 0
+    for i, piece in enumerate(three_tile_pieces.pieces):
+        x0, y0, x1, _ = bounding_box(piece.cells)
+        placed.append((translate(piece.cells, (cursor - x0, -y0)),
+                       PALETTE[i % len(PALETTE)]))
+        cursor += (x1 - x0) + 2
+    svg = render_svg(RenderSpec(cell_size=3), three_tile_pieces)
+    assert _drawn(svg) == (_traced(placed, 3), 7)
+
