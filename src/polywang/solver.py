@@ -1,9 +1,9 @@
 """Translational exact-cover tiling engine and linear tiling checker.
 
-``solve`` runs a deterministic exact-cover search (fewest-candidates cell
-selection) and is meant for small regions; ``check_tiling`` verifies a given
-placement list in time linear in the covered area and is the workhorse for
-simulator output.
+``solve`` runs Knuth's Algorithm X (fewest-candidates cell selection) on an
+explicit stack and is meant for small regions; ``check_tiling`` verifies a
+given placement list in time linear in the covered area and is the workhorse
+for simulator output.
 """
 
 from __future__ import annotations
@@ -266,13 +266,20 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
           limit: int | None = None, max_nodes: int | None = None):
     """Exhaustive exact-cover search over the placement universe.
 
-    Deterministic: the uncovered cell with fewest live candidates is chosen
-    (ties by lowest linear index) and candidates branch in canonical order.
-    ``limit`` keeps the first solutions in that order; ``max_nodes`` bounds
-    the search nodes below the root and raises SearchLimitError past it.
+    Knuth's Algorithm X on an explicit stack, so Python's recursion limit
+    does not cap the depth.  ``size[cell]`` counts the live placements on a
+    cell and ``dead[pid]`` the chosen placements that share a cell with pid;
+    select and deselect keep both up to date.  Deterministic: the first
+    uncovered cell with at most one live candidate is chosen, else the one
+    with fewest (ties by lowest linear index), and candidates branch in
+    canonical order.  ``limit`` keeps the first solutions in that order;
+    ``max_nodes`` bounds the search nodes below the root and raises
+    SearchLimitError past it.
     """
     if limit is not None and limit < 0:
         raise SolverInputError("limit must be nonnegative")
+    if max_nodes is not None and max_nodes < 0:
+        raise SolverInputError("max_nodes must be nonnegative")
     n_cells = universe.region.area
     cover = universe._cover
     candidates = universe._candidates
@@ -282,50 +289,68 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
             return 0
         return None if mode == "first" else []
 
-    covered = bytearray(n_cells)
-    nodes = 0
-    found = 0
-
-    def live(pid: int) -> bool:
-        return all(not covered[i] for i in cover[pid])
+    size = [len(c) for c in candidates]
+    dead = [0] * len(cover)
+    covered = len(cover) + 1  # a covered cell's size (its live count is 0)
+    # The placements that share a cell with each placement, itself included.
+    clash = [tuple(set().union(*(candidates[c] for c in cells))) for cells in cover]
 
     def pick() -> list[int]:
-        """Live candidates of the uncovered cell with the fewest of them."""
-        best: list[int] | None = None
-        for idx in range(n_cells):
-            if covered[idx]:
+        """Live candidates of the first uncovered cell with at most one of
+        them, else of the one with fewest (lowest index first)."""
+        low = min(size)
+        cell = size.index(low)
+        if low == 0 and 1 in size[:cell]:
+            cell = size.index(1)
+        return [pid for pid in candidates[cell] if not dead[pid]]
+
+    def select(pid: int):
+        for row in clash[pid]:
+            dead[row] += 1
+            if dead[row] == 1:
+                for cell in cover[row]:
+                    size[cell] -= 1
+        for cell in cover[pid]:
+            size[cell] = covered
+
+    def deselect(pid: int):
+        for cell in cover[pid]:
+            size[cell] = 0
+        for row in clash[pid]:
+            dead[row] -= 1
+            if not dead[row]:
+                for cell in cover[row]:
+                    size[cell] += 1
+
+    def search() -> Iterator[tuple[int, ...]]:
+        nodes = found = 0
+        chosen: list[int] = []  # the placement that opened each frame
+        # The root pick is not a search node; every branch below it is.
+        stack = [[pick(), 0, n_cells]]
+        while stack:
+            frame = stack[-1]
+            cands, i, remaining = frame
+            if i == len(cands):
+                stack.pop()
+                if chosen:
+                    deselect(chosen.pop())
                 continue
-            cands = [pid for pid in candidates[idx] if live(pid)]
-            if best is None or len(cands) < len(best):
-                best = cands
-                if len(cands) <= 1:
-                    break
-        return best
+            frame[1] = i + 1
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise SearchLimitError(found)
+            pid = cands[i]
+            select(pid)
+            left = remaining - len(cover[pid])
+            if left:
+                chosen.append(pid)
+                stack.append([pick(), 0, left])
+            else:
+                found += 1
+                yield (*chosen, pid)
+                deselect(pid)
 
-    def mark(pid: int, value: int):
-        for i in cover[pid]:
-            covered[i] = value
-
-    def branches(remaining: int) -> Iterator[tuple[int, ...]]:
-        for pid in pick():
-            mark(pid, 1)
-            for rest in search(remaining - len(cover[pid])):
-                yield (pid,) + rest
-            mark(pid, 0)
-
-    def search(remaining: int) -> Iterator[tuple[int, ...]]:
-        nonlocal nodes, found
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise SearchLimitError(found)
-        if remaining == 0:
-            found += 1
-            yield ()
-        else:
-            yield from branches(remaining)
-
-    # The root pick is not a search node; every branch below it is.
-    solutions = islice(branches(n_cells), 1 if mode == "first" else limit)
+    solutions = islice(search(), 1 if mode == "first" else limit)
     if mode == "count":
         return sum(1 for _ in solutions)
     tilings = [

@@ -86,7 +86,7 @@ def test_simulate_verify_render(workdir):
     assert psvg.read_text().count("<path") == 7
 
 
-def test_solve_poly(workdir):
+def test_solve_poly(workdir, capsys):
     dom = workdir / "dominoes.json"
     dom.write_text(json.dumps([
         {"name": "h", "cells": [[0, 0], [1, 0]]},
@@ -100,10 +100,28 @@ def test_solve_poly(workdir):
     assert _run("solve-poly", dom) == 2  # no region given
     assert _run("solve-poly", dom, "--rect", 2, 10, "--mode", "count",
                 "--max-nodes", 2) == 3
+    capsys.readouterr()
+    assert _run("solve-poly", dom, "--rect", 2, 10, "--mode", "count",
+                "--max-nodes", 0) == 3
+    assert capsys.readouterr().err == "LIMIT after 0 solutions\n"
     tor = workdir / "torus.json"
     assert _run("solve-poly", dom, "--torus-lattice", 2, 0, 0, 2,
                 "-o", tor) == 0
     assert "lattice" in json.loads(tor.read_text())
+
+
+def test_solve_poly_deep_first(workdir):
+    # 800 levels of search: a recursive search would pass the default
+    # recursion limit of Python.
+    pieces = workdir / "hm.json"
+    pieces.write_text(json.dumps([
+        {"name": "h", "cells": [[0, 0], [1, 0]]},
+        {"name": "m", "cells": [[0, 0]]},
+    ]))
+    tiling = workdir / "hm_tiling.json"
+    assert _run("solve-poly", pieces, "--rect", 40, 40, "--mode", "first",
+                "-o", tiling) == 0
+    assert _run("verify", pieces, tiling, "-o", workdir / "hm_report.json") == 0
 
 
 def test_input_errors(workdir):
@@ -191,6 +209,7 @@ _INPUT_ERRORS = {
     "render-tiling-duplicate-name": ("render-tiling", "pieces", _MONO + _MONO),
     "render-cell-size-0": ("render --cell-size 0", "pieces", _MONO),
     "render-cell-size-negative": ("render --cell-size -3", "pieces", _MONO),
+    "solve-poly-max-nodes-negative": ("solve-poly --max-nodes -1", "pieces", _MONO),
 }
 
 

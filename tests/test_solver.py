@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ MONO = Polyomino(frozenset({(0, 0)}), "mono")
 H_DOM = Polyomino(frozenset({(0, 0), (1, 0)}), "h")
 V_DOM = Polyomino(frozenset({(0, 0), (0, 1)}), "v")
 L_TROMINO = Polyomino(frozenset({(0, 0), (1, 0), (0, 1)}), "L")
+J_TROMINO = Polyomino(frozenset({(0, 0), (1, 0), (1, 1)}), "J")
 
 
 def _count(region, pieces, **kw):
@@ -98,6 +101,102 @@ def test_search_limit_error():
         solve(universe, "count", max_nodes=318)
     assert err.value.partial_count == 88
     assert solve(universe, "count", max_nodes=319) == 89
+    with pytest.raises(SearchLimitError) as err:
+        solve(universe, "count", max_nodes=0)
+    assert err.value.partial_count == 0
+    with pytest.raises(SolverInputError):
+        solve(universe, "count", max_nodes=-1)
+
+
+def test_deep_search_needs_no_recursion():
+    # 1500 levels of search: deeper than Python's default recursion limit.
+    universe = build_universe(Rectangle(1, 1500), (MONO,))
+    assert solve(universe, "count") == 1
+    assert len(solve(universe, "first")) == 1500
+
+
+@pytest.mark.parametrize("region, pieces, count, nodes, partial", [
+    (Torus(TorusLattice((4, 0), (1, 3))), (L_TROMINO, J_TROMINO, H_DOM, V_DOM),
+     200, 862, {40: 8, 333: 76, 861: 199}),
+    (Rectangle(3, 5), (H_DOM, V_DOM, MONO), 5096, 12588,
+     {40: 14, 333: 133, 12587: 5095}),
+])
+def test_search_order_pinned(region, pieces, count, nodes, partial):
+    # The node budgets and the order of solutions are those of the
+    # fewest-candidates search that branches in canonical order: the first
+    # uncovered cell with at most one live candidate, else the smallest.
+    universe = build_universe(region, pieces)
+    full = solve(universe, "enumerate")
+    assert solve(universe, "count") == len(full) == count
+    assert solve(universe, "count", max_nodes=nodes) == count
+    for max_nodes, found in partial.items():
+        with pytest.raises(SearchLimitError) as err:
+            solve(universe, "count", max_nodes=max_nodes)
+        assert err.value.partial_count == found
+    assert solve(universe, "enumerate", limit=7) == full[:7]
+    assert solve(universe, "first") == full[0]
+
+
+def _dp_count(width, height, pieces):
+    """Tilings of a rectangle: the first empty cell in row-major order is
+    covered by the first cell, in (y, x) order, of some piece."""
+    shapes = []
+    for piece in pieces:
+        cells = sorted(piece.cells, key=lambda c: (c[1], c[0]))
+        shapes.append([(x - cells[0][0], y - cells[0][1]) for x, y in cells])
+    full = (1 << width * height) - 1
+
+    @cache
+    def ways(mask):
+        if mask == full:
+            return 1
+        first = (~mask & (mask + 1)).bit_length() - 1
+        total = 0
+        for shape in shapes:
+            bits = 0
+            for dx, dy in shape:
+                x, y = first % width + dx, first // width + dy
+                inside = 0 <= x < width and 0 <= y < height
+                if not inside or mask >> (y * width + x) & 1:
+                    break
+                bits |= 1 << (y * width + x)
+            else:
+                total += ways(mask | bits)
+        return total
+
+    return ways(0)
+
+
+@st.composite
+def _shapes(draw):
+    """An edge-connected cell set of 1-4 cells, grown from the origin."""
+    cells = [(0, 0)]
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(st.sampled_from(cells))
+        dx, dy = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+        cells.append((x + dx, y + dy))
+    return frozenset(cells)
+
+
+def _translation_class(cells):
+    x0, y0 = min(x for x, _ in cells), min(y for _, y in cells)
+    return frozenset((x - x0, y - y0) for x, y in cells)
+
+
+# Shapes distinct up to translation keep the counts small: three monominoes
+# alone would tile a 4x4 rectangle in 3**16 ways.
+@given(st.integers(1, 4), st.integers(1, 4),
+       st.lists(_shapes(), min_size=1, max_size=3, unique_by=_translation_class))
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_dp_oracle(width, height, shapes):
+    region = Rectangle(width, height)
+    pieces = tuple(Polyomino(cells, f"p{k}") for k, cells in enumerate(shapes))
+    universe = build_universe(region, pieces)
+    count = solve(universe, "count")
+    assert count == _dp_count(width, height, pieces)
+    tilings = solve(universe, "enumerate")
+    assert len(tilings) == len({tuple(t) for t in tilings}) == count
+    assert all(check_tiling(region, pieces, t).exact for t in tilings)
 
 
 def test_check_tiling_reports():
