@@ -16,10 +16,10 @@ def reduce_points(xs, ys, a, b, c):
     return xr, yr
 
 
-def coverage_counts(idx, size):
-    """Coverage multiplicity of each of ``size`` cells, given the flat cell
-    index of every covered point."""
-    return np.bincount(idx, minlength=size)
+def coverage_counts(idx, counts):
+    """Add one to ``counts`` at the flat cell index of every covered point,
+    in time linear in the number of points."""
+    np.add.at(counts, idx, counts.dtype.type(1))
 
 
 def backend() -> str:

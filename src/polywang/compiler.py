@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import blocks
 from .blocks import BLOCK, BlockKind, geometry, partner
-from .geometry import Polyomino, Vec, is_connected, translate
+from .geometry import Polyomino, Vec, translate
 from .wang import WangTileSet
 
 PIECE_NAMES = ("encoder", "l_linker", "r_linker", "a_filler", "b_filler",
@@ -113,8 +113,6 @@ def assemble(grid: BlockGrid, name: str) -> Polyomino:
             shift = (BLOCK * col + anchor[0], BLOCK * row + anchor[1])
             if not translate(geo.dent, shift) <= cells:
                 raise CompileError(f"{name}: unfilled dent at {(col, row)}")
-    if not is_connected(cells):
-        raise CompileError(f"{name}: assembly is not connected")
     return Polyomino(frozenset(cells), name)
 
 
@@ -203,11 +201,6 @@ class SevenPieceSet:
             "t": self.source.t,
             "pieces": [p.to_json() for p in self.pieces],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SevenPieceSet":
-        source = WangTileSet.from_json(obj["source"])
-        return cls(tuple(map(Polyomino.from_json, obj["pieces"])), source)
 
 
 def require_supported(tileset: WangTileSet) -> None:

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .compiler import SevenPieceSet
 from .geometry import Cell, CellSet, Polyomino, bounding_box
-from .simulate import SimulatedTiling
 from .solver import Placement, piece_map
 
 PALETTE = ("#7b52ab", "#e8833a", "#3a7bd5", "#4caf50",
@@ -103,19 +101,15 @@ def path_data(cells: CellSet, scale: int, flip_y: int) -> str:
     return "".join(parts)
 
 
-def render_svg(spec: RenderSpec,
-               payload: SevenPieceSet | SimulatedTiling | Sequence[Polyomino]
-               | Sequence[Placement],
+def render_svg(spec: RenderSpec, payload: Sequence[Polyomino] | Sequence[Placement],
                pieces: Sequence[Polyomino] | None = None) -> str:
-    """SVG document for a piece set (laid out in a row) or a tiling.
+    """SVG document for a list of pieces (laid out in a row) or of placements.
 
     A tiling is drawn from its placements alone, so a placement list from
     a rectangle renders like the placements of a torus tiling.
     """
     s = spec.cell_size
-    if isinstance(payload, SimulatedTiling):
-        payload = payload.placements
-    items = list(payload.pieces) if isinstance(payload, SevenPieceSet) else list(payload)
+    items = list(payload)
     if not items:
         raise RenderError("empty payload")
     # Both payloads become shapes plus (shape index, offset) entries.

@@ -21,7 +21,7 @@ from .compiler import (
     require_supported,
 )
 from .geometry import TorusLattice, Vec
-from .solver import Placement, SolverInputError, Torus, region_from_json
+from .solver import Placement, Torus
 from .wang import WangInputError, WangTileSet, WangTiling, validate
 
 PIECE_ORDER = {name: i for i, name in enumerate(PIECE_NAMES)}
@@ -73,13 +73,6 @@ class SimulatedTiling:
     def to_json(self) -> dict:
         return {**Torus(self.lattice).to_json(),
                 "placements": [pl.to_json() for pl in self.placements]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SimulatedTiling":
-        region = region_from_json(obj)
-        if not isinstance(region, Torus):
-            raise SolverInputError("a simulated tiling needs a 'lattice'")
-        return cls(region.lattice, tuple(map(Placement.from_json, obj["placements"])))
 
 
 _LINKER_NAME = {BlockKind.SLOT_LEFT: "l_linker", BlockKind.SLOT_RIGHT: "r_linker"}

@@ -19,6 +19,7 @@ from .geometry import (Cell, CellSet, Polyomino, TorusLattice, Vec, canonical,
                        is_coord_pair)
 
 SolveMode = Literal["first", "count", "enumerate"]
+_BATCH_POINTS = 1 << 18  # placed points check_tiling materialises at a time
 
 
 class SolverInputError(ValueError):
@@ -153,8 +154,11 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
                  placements: Sequence[Placement]) -> CoverReport:
     """Coverage multiplicity per region cell; reports gaps and double covers.
 
-    Each piece's cells are broadcast against the offsets of its placements,
-    so the work in Python is per piece, not per placement.
+    Placed points are materialised a batch at a time: whole placements of
+    one piece, at most ``_BATCH_POINTS`` points (or one placement of a
+    larger piece).  Memory is bounded by the region's count array, not by
+    placements x piece size.  Only when some cell is covered twice does a
+    second walk collect the points on such cells for the overlap records.
     """
     table = piece_map(pieces)
     groups: dict[str, list[int]] = {}
@@ -162,34 +166,52 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
         if pl.piece not in table:
             raise SolverInputError(f"unknown piece {pl.piece!r}")
         groups.setdefault(pl.piece, []).append(i)
-    cells = [np.asarray(table[name].canonical_cells(), dtype=np.int64)
-             for name in groups]
-    offsets = [np.asarray([placements[i].at for i in pids], dtype=np.int64)
-               for pids in groups.values()]
-    xs, ys = np.concatenate([np.zeros((0, 2), dtype=np.int64)] + [
-        (at[:, None] + c).reshape(-1, 2) for c, at in zip(cells, offsets)]).T
-    idx = region.index(xs, ys)
-    outside = idx < 0
-    out_of_region = canonical(zip(xs[outside].tolist(), ys[outside].tolist()))
-    counts = _kernels.coverage_counts(idx[~outside], region.area)
+
+    # Per piece: its cells, the offsets of its placements and their ids.
+    # The cells need no order: every report is sorted by cell and owner.
+    shapes = [(np.asarray(list(table[name].cells), dtype=np.int64),
+               np.asarray([placements[i].at for i in pids], dtype=np.int64),
+               np.asarray(pids, dtype=np.int64)) for name, pids in groups.items()]
+
+    def batches() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(points, flat cell index, owning placement) of each batch."""
+        for cells, offsets, pids in shapes:
+            step = max(1, _BATCH_POINTS // len(cells))
+            for lo in range(0, len(pids), step):
+                points = (offsets[lo:lo + step, None] + cells).reshape(-1, 2)
+                yield (points, region.index(*points.T),
+                       np.repeat(pids[lo:lo + step], len(cells)))
+
+    # No cell is covered more often than there are placed points, so the
+    # narrowest dtype that holds their number cannot wrap.
+    placed = sum(len(cells) * len(pids) for cells, _, pids in shapes)
+    counts = np.zeros(region.area, dtype=np.min_scalar_type(placed))
+    outside: list[Cell] = []
+    for points, idx, _ in batches():
+        inside = idx >= 0
+        outside.extend(map(tuple, points[~inside].tolist()))
+        _kernels.coverage_counts(idx[inside], counts)
 
     width = region.width
     uncovered = tuple((v % width, v // width)
                       for v in np.flatnonzero(counts == 0).tolist())
 
     overlaps: list[tuple[Cell, int, int]] = []
-    hot = np.flatnonzero(counts > 1)
-    if hot.size:
-        owners = np.concatenate([np.repeat(pids, len(c))
-                                 for pids, c in zip(groups.values(), cells)])
-        at = np.flatnonzero(np.isin(idx, hot))
-        at = at[np.lexsort((owners[at], idx[at]))]
-        points = zip(idx[at].tolist(), owners[at].tolist())
+    if counts.max() > 1:
+        hot_idx, hot_owner = [], []
+        for _, idx, owner in batches():
+            # Index -1 (outside a rectangle) reads the last count; drop it.
+            hot = (idx >= 0) & (counts[idx] > 1)
+            hot_idx.append(idx[hot])
+            hot_owner.append(owner[hot])
+        idx, owner = np.concatenate(hot_idx), np.concatenate(hot_owner)
+        order = np.lexsort((owner, idx))
+        points = zip(idx[order].tolist(), owner[order].tolist())
         # A piece wrapped round a small torus can pair with itself.
         for v, run in groupby(points, key=lambda point: point[0]):
             overlaps.extend(((v % width, v // width), i, j)
                             for (_, i), (_, j) in combinations(run, 2))
-    return CoverReport(uncovered, tuple(overlaps), out_of_region)
+    return CoverReport(uncovered, tuple(overlaps), canonical(outside))
 
 
 def contained_placements(container: CellSet,

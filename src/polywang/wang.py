@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator
 
-SolveMode = Literal["first", "count", "enumerate"]
+from .solver import SolveMode
 
 
 class WangInputError(ValueError):
@@ -161,46 +161,38 @@ def validate(tileset: WangTileSet, tiling: WangTiling) -> list[tuple]:
 
 
 def _torus_solutions(tileset: WangTileSet, p: int, q: int) -> Iterator[tuple[int, ...]]:
-    """DFS over cells in row-major order, tile indices ascending."""
+    """DFS over cells in row-major order, tile indices ascending.
+
+    The search runs on ``cells`` itself: ``cells[idx]`` holds the tile being
+    tried at the deepest cell, and the cells after it hold -1.
+    """
     n = tileset.n
     tiles = tileset.tiles
     cells = [-1] * (p * q)
 
-    def ok(a: int, b: int, i: int) -> bool:
-        # Neighbors are checked against already placed cells; a wrap edge
-        # landing on the cell being placed compares the candidate to itself.
-        t = tiles[i]
-        idx = b * p + a
-
-        def tile_at(j: int) -> WangTile:
-            return t if j == idx else tiles[cells[j]]
-
-        if a > 0:
-            if tile_at(idx - 1).east != t.west:
-                return False
-        if a == p - 1:
-            if t.east != tile_at(b * p).west:
-                return False
-        if b > 0:
-            if tile_at(idx - p).north != t.south:
-                return False
-        if b == q - 1:
-            if t.north != tile_at(a).south:
-                return False
-        return True
-
-    def rec(idx: int):
-        if idx == p * q:
-            yield tuple(cells)
-            return
+    def fits(idx: int) -> bool:
+        # West and south neighbours are placed; so is the wrapped east or
+        # north neighbour on the last column or row, unless it is the cell
+        # itself, whose candidate is then compared with itself.
         b, a = divmod(idx, p)
-        for i in range(n):
-            if ok(a, b, i):
-                cells[idx] = i
-                yield from rec(idx + 1)
-                cells[idx] = -1
+        t = tiles[cells[idx]]
+        return ((a == 0 or tiles[cells[idx - 1]].east == t.west)
+                and (a < p - 1 or t.east == tiles[cells[b * p]].west)
+                and (b == 0 or tiles[cells[idx - p]].north == t.south)
+                and (b < q - 1 or t.north == tiles[cells[a]].south))
 
-    yield from rec(0)
+    idx = 0
+    while idx >= 0:
+        cells[idx] += 1
+        while cells[idx] < n and not fits(idx):
+            cells[idx] += 1
+        if cells[idx] == n:  # no tile left here: back up one cell
+            cells[idx] = -1
+            idx -= 1
+        elif idx + 1 == p * q:
+            yield tuple(cells)
+        else:
+            idx += 1
 
 
 def solve_torus(tileset: WangTileSet, p: int, q: int,

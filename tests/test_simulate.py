@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from polywang.compiler import compile_pieces
@@ -9,7 +11,7 @@ from polywang.simulate import (
     linker_alignment_check,
     wang_cell_to_diamond,
 )
-from polywang.solver import SolverInputError, Torus, check_tiling
+from polywang.solver import Placement, Torus, check_tiling, region_from_json
 from polywang.wang import WangInputError, WangTile, WangTileSet, WangTiling
 
 
@@ -115,7 +117,9 @@ def test_emit_rejects_bad_input(three_tile_set):
 
 def test_simulated_tiling_round_trip(three_tile_set, three_tile_torus):
     sim = emit_placements(three_tile_set, three_tile_torus)
-    back = SimulatedTiling.from_json(sim.to_json())
+    obj = sim.to_json()
+    region = region_from_json(obj)
+    back = SimulatedTiling(region.lattice,
+                           tuple(map(Placement.from_json, obj["placements"])))
     assert back == sim
-    with pytest.raises(SolverInputError):
-        SimulatedTiling.from_json({"rect": [2, 2], "placements": []})
+    assert json.dumps(back.to_json(), indent=1) == json.dumps(obj, indent=1)

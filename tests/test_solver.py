@@ -1,9 +1,11 @@
 from functools import cache
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polywang import solver
 from polywang.blocks import BlockKind, geometry
 from polywang.geometry import Polyomino, TorusLattice, translate
 from polywang.solver import (
@@ -223,6 +225,13 @@ def test_check_tiling_reports():
         Placement("mono", (7, 1))])
     assert stray.overlaps == (((2, 0), 0, 1),)
     assert stray.out_of_region == ((7, 1),)
+    # Flat index -1 marks a point outside, not the last cell, even when the
+    # last cell is covered twice.
+    corner = check_tiling(Rectangle(2, 2), (MONO,), [
+        Placement("mono", (1, 1)), Placement("mono", (1, 1)),
+        Placement("mono", (5, 5)), Placement("mono", (6, 5))])
+    assert corner.overlaps == (((1, 1), 0, 1),)
+    assert corner.out_of_region == ((5, 5), (6, 5))
 
 
 def _cover_oracle(region, pieces, placements):
@@ -274,10 +283,44 @@ _PLACEMENTS = st.lists(st.builds(
                                                Placement("mono", (5, 3))])
 @settings(max_examples=300, deadline=None)
 def test_check_tiling_matches_owner_oracle(region, placements):
+    _assert_matches_oracle(region, placements)
+
+
+# Batches of one and of three points split a piece group between batches,
+# and a tromino's batch holds one placement.
+@pytest.mark.parametrize("batch_points", [1, 3])
+@given(_REGIONS, _PLACEMENTS)
+@example(Torus(TorusLattice((2, 0), (1, 1))), [Placement("L", (0, 0)),
+                                               Placement("mono", (5, 3))])
+@example(Rectangle(2, 2), [Placement("h", (0, 0)), Placement("h", (0, 0)),
+                           Placement("h", (1, 1)), Placement("h", (0, 1))])
+@settings(max_examples=300, deadline=None)
+def test_check_tiling_matches_owner_oracle_in_small_batches(
+        batch_points, region, placements):
+    with mock.patch.object(solver, "_BATCH_POINTS", batch_points):
+        _assert_matches_oracle(region, placements)
+
+
+def _assert_matches_oracle(region, placements):
     pieces = (MONO, H_DOM, V_DOM, L_TROMINO)
     report = check_tiling(region, pieces, placements)
     assert (report.uncovered, report.overlaps, report.out_of_region) == \
         _cover_oracle(region, pieces, placements)
+
+
+def test_check_tiling_piece_wrapped_round_tiny_torus():
+    # All 256 points of the bar land on the one cell of a 1x1 torus; a
+    # count array of one byte would wrap to 0 and call the cell uncovered.
+    bar = Polyomino(frozenset((x, 0) for x in range(256)), "bar")
+    dot = check_tiling(Torus(TorusLattice((1, 0), (0, 1))), (bar,),
+                       [Placement("bar", (3, -2))])
+    assert dot.uncovered == () and dot.out_of_region == ()
+    assert dot.overlaps == (((0, 0), 0, 0),) * (256 * 255 // 2)
+    # A 3-cell bar round a 2x1 torus covers (0, 0) twice and (1, 0) once.
+    bar3 = Polyomino(frozenset({(0, 0), (1, 0), (2, 0)}), "bar3")
+    ring = check_tiling(Torus(TorusLattice((2, 0), (0, 1))), (bar3,),
+                        [Placement("bar3", (0, 0))])
+    assert ring.uncovered == () and ring.overlaps == (((0, 0), 0, 0),)
 
 
 def test_build_universe_pinned_rows():

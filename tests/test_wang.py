@@ -60,6 +60,37 @@ def test_solve_torus_self_matching():
     assert solve_torus(_self_matching(), 1, 1, "count") == 1
 
 
+# Five tiles over two colours; tiles 1 and 4 are equal.  The pinned orders
+# are row-major, tile indices ascending.
+_TWO_COLOUR = WangTileSet(tuple(WangTile(*edges) for edges in (
+    (0, 1, 1, 1), (1, 0, 1, 0), (0, 1, 0, 0), (1, 1, 0, 1), (1, 0, 1, 0))),
+    ("a", "b"))
+
+
+def test_solve_torus_pinned_counts_and_order():
+    counts = {(1, 1): 2, (2, 1): 4, (1, 2): 6, (3, 1): 8, (1, 3): 14,
+              (2, 2): 20, (3, 2): 72, (2, 3): 76, (4, 3): 4144, (5, 1): 32}
+    for (p, q), count in counts.items():
+        assert solve_torus(_TWO_COLOUR, p, q, "count") == count, (p, q)
+    orders = {
+        (2, 2): [(0, 0, 3, 3), (0, 3, 3, 0), (1, 1, 1, 1), (1, 1, 1, 4),
+                 (1, 1, 4, 1), (1, 1, 4, 4), (1, 4, 1, 1), (1, 4, 1, 4),
+                 (1, 4, 4, 1), (1, 4, 4, 4), (3, 0, 0, 3), (3, 3, 0, 0),
+                 (4, 1, 1, 1), (4, 1, 1, 4), (4, 1, 4, 1), (4, 1, 4, 4),
+                 (4, 4, 1, 1), (4, 4, 1, 4), (4, 4, 4, 1), (4, 4, 4, 4)],
+        (3, 1): [(1, 1, 1), (1, 1, 4), (1, 4, 1), (1, 4, 4), (4, 1, 1),
+                 (4, 1, 4), (4, 4, 1), (4, 4, 4)],
+        (1, 3): [(0, 3, 1), (0, 3, 4), (1, 0, 3), (1, 1, 1), (1, 1, 4),
+                 (1, 4, 1), (1, 4, 4), (3, 1, 0), (3, 4, 0), (4, 0, 3),
+                 (4, 1, 1), (4, 1, 4), (4, 4, 1), (4, 4, 4)],
+    }
+    for (p, q), cells in orders.items():
+        assert [t.cells for t in solve_torus(_TWO_COLOUR, p, q, "enumerate")] \
+            == cells, (p, q)
+    assert solve_torus(_TWO_COLOUR, 4, 3, "first").cells == \
+        (0, 0, 0, 0, 3, 3, 3, 3, 1, 1, 1, 1)
+
+
 def test_find_periodic(three_tile_set):
     p, q, tiling = find_periodic(three_tile_set, 9)
     assert (p, q) == (3, 1)
