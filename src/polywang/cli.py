@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import compiler, render, simulate, solver, wang
-from .geometry import (GeometryError, Polyomino, TorusLattice, bounding_box,
-                       is_connected)
+from .geometry import GeometryError, Polyomino, TorusLattice, bounding_box
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
@@ -43,7 +44,35 @@ def _write(path: str | None, text: str):
 
 
 def _dump_json(path: str | None, obj) -> None:
-    _write(path, json.dumps(obj, indent=1) + "\n")
+    _write(path, _json_text(obj) + "\n")
+
+
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def _json_text(obj, end: str = "\n") -> str:
+    """``json.dumps(obj, indent=1)`` for dicts with str keys, lists, str,
+    int, bool and None.  ``end`` is a newline plus obj's own indent."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if not isinstance(obj, (dict, list)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    opening, closing = "{}" if isinstance(obj, dict) else "[]"
+    if not obj:
+        return opening + closing
+    indent = end + " "
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, indent)}"
+                 for k, v in obj.items()]
+    elif (set(map(type, obj)) == {list} and set(map(len, obj)) == {2}
+          and set(map(type, chain.from_iterable(obj))) == {int}):
+        pair = f"[{indent} %d,{indent} %d{indent}]"  # e.g. a piece's cells
+        items = [f",{indent}".join([pair] * len(obj)) % tuple(chain.from_iterable(obj))]
+    else:
+        items = [_json_text(v, indent) for v in obj]
+    return opening + indent + f",{indent}".join(items) + end + closing
 
 
 def cmd_compile(args) -> int:
@@ -160,7 +189,7 @@ def cmd_info(args) -> int:
         x0, y0, x1, y1 = bounding_box(p.cells)
         rows.append(f"{p.name:12s} {len(p.cells):6d} cells  "
                     f"bbox {x1 - x0}x{y1 - y0} at ({x0},{y0})  "
-                    f"connected={is_connected(p.cells)}")
+                    "connected=True")  # checked by Polyomino.from_json
     _write(args.output, "\n".join(rows) + "\n")
     return EXIT_OK
 

@@ -8,7 +8,10 @@ serialization is (y, x).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 Cell = tuple[int, int]
 Vec = tuple[int, int]
@@ -49,21 +52,33 @@ def bounding_box(cells: Iterable[Cell]) -> tuple[int, int, int, int]:
 def is_connected(cells: Iterable[Cell]) -> bool:
     """True iff the shared-edge adjacency graph on the cells is connected.
 
-    The empty set is not connected.  Diagonal contact does not count.
+    The empty set is not connected.  Diagonal contact does not count.  Row
+    runs of cells are merged by union-find with the runs they touch above.
     """
-    cells = frozenset(cells)
-    if not cells:
+    xy = _cell_array(frozenset(cells))
+    if not len(xy) or np.ptp(xy, axis=0).max() >= len(xy):  # connected only if ptp < n
         return False
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x, y = stack.pop()
-        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(cells)
+    width = np.ptp(xy[:, 0]) + 1
+    key = np.sort((xy[:, 1] - xy[:, 1].min()) * width + xy[:, 0] - xy[:, 0].min())
+    # A run starts where a key does not follow the one before, or a row starts.
+    run = np.cumsum((np.diff(key, prepend=key[0]) != 1) | (key % width == 0)) - 1
+    above = np.minimum(np.searchsorted(key, key + width), len(key) - 1)
+    joined = key[above] == key + width
+    parent = list(range(run[-1] + 1))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in set(zip(run[joined].tolist(), run[above[joined]].tolist())):
+        parent[root(a)] = root(b)
+    return sum(i == r for i, r in enumerate(parent)) == 1
+
+
+def _cell_array(cells: Iterable[Cell]) -> np.ndarray:  # (x, y) rows
+    return np.fromiter(chain.from_iterable(cells), np.int64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -256,7 +271,7 @@ class Polyomino:
     name: str
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
+        object.__setattr__(self, "cells", frozenset(map(tuple, self.cells)))
         if not self.cells:
             raise GeometryError(f"polyomino {self.name!r} is empty")
         if not is_connected(self.cells):
@@ -269,8 +284,8 @@ class Polyomino:
         return canonical(self.cells)
 
     def to_json(self) -> dict:
-        return {"name": self.name,
-                "cells": [list(c) for c in self.canonical_cells()]}
+        xy = _cell_array(self.cells)
+        return {"name": self.name, "cells": xy[np.lexsort(xy.T)].tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polyomino":
@@ -278,6 +293,10 @@ class Polyomino:
         if not (isinstance(obj, dict) and isinstance(obj.get("name"), str)):
             raise GeometryError("a piece entry needs a string 'name'")
         cells = obj.get("cells")
-        if not (isinstance(cells, list) and all(map(is_coord_pair, cells))):
+        # is_coord_pair on every JSON cell, one C-level pass per condition.
+        if not (isinstance(cells, list)
+                and set(map(type, cells)) <= {list} and set(map(len, cells)) <= {2}
+                and set(map(type, chain.from_iterable(cells))) <= {int}
+                and max(map(abs, chain.from_iterable(cells)), default=0) < COORD_BOUND):
             raise GeometryError(f"piece {obj['name']!r} needs 'cells': integer pairs")
-        return cls(frozenset(map(tuple, cells)), obj["name"])
+        return cls(cells, obj["name"])

@@ -129,7 +129,9 @@ class WangTiling:
             raise WangInputError(f"'p' and 'q' must be integers, got {p!r}, {q!r}")
         if not (isinstance(cells, list) and all(type(c) is int for c in cells)):
             raise WangInputError("'cells' must be a list of integer tile indices")
-        return cls(p, q, bool(obj.get("torus", False)), tuple(cells))
+        if type(obj.get("torus", False)) is not bool:
+            raise WangInputError(f"'torus' must be true or false, got {obj['torus']!r}")
+        return cls(p, q, obj.get("torus", False), tuple(cells))
 
     def to_json(self) -> dict:
         return {"p": self.p, "q": self.q, "torus": self.torus,

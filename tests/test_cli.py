@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polywang
 from polywang import cli
@@ -32,6 +34,55 @@ def test_compile_and_info(workdir):
     out = workdir / "info.txt"
     assert _run("info", pieces, "-o", out) == 0
     assert "8872" in out.read_text()
+
+
+# `info` on data/three_tile_set.json's compiled pieces, byte for byte as the
+# set-based connectivity check printed it.
+_THREE_TILE_INFO = """\
+encoder        8872 cells  bbox 304x38 at (0,-4)  connected=True
+l_linker       1776 cells  bbox 62x50 at (0,-10)  connected=True
+r_linker       1776 cells  bbox 62x50 at (0,-10)  connected=True
+a_filler        620 cells  bbox 24x38 at (0,-4)  connected=True
+b_filler        620 cells  bbox 24x38 at (0,-4)  connected=True
+connector      4096 cells  bbox 62x90 at (0,0)  connected=True
+t_filler         18 cells  bbox 3x10 at (0,0)  connected=True
+"""
+
+
+def test_info_output_pinned(tmp_path):
+    data = Path(__file__).resolve().parent.parent / "data" / "three_tile_set.json"
+    pieces = tmp_path / "pieces.json"
+    assert _run("compile", data, "-o", pieces) == 0
+    assert _run("info", pieces, "-o", tmp_path / "info.txt") == 0
+    assert (tmp_path / "info.txt").read_bytes() == _THREE_TILE_INFO.encode()
+
+
+_JSON_STRINGS = st.text() | st.sampled_from(
+    ["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "\u2028", "\ud800",
+     "\U0001f600", "a/b"])
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | _JSON_STRINGS
+# Pairs of ints, with bools mixed in: only all-int pairs take the fast path.
+_PAIR_LISTS = st.lists(st.lists(st.integers() | st.booleans(), min_size=2,
+                                max_size=2))
+
+
+@given(st.recursive(_JSON_SCALARS | _PAIR_LISTS,
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+                    max_leaves=20))
+@settings(max_examples=300)
+def test_json_text_is_json_dumps_indent_1(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=1)
+
+
+def test_json_text_pins_layout_and_rejects_other_types():
+    obj = {"a": [[1, -2], [3, 4]], "b": [[True, 0]], "c": {}, "d": [],
+           "e": [2 ** 70, None, "\u00e9"]}
+    assert cli._json_text(obj) == json.dumps(obj, indent=1)
+    assert cli._json_text([[0, 0]]) == "[\n [\n  0,\n  0\n ]\n]"
+    for bad in (0.5, (1, 2), {1: 2}, [[0, 0], [0, 0.5]]):
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
 
 
 def test_piece_file_round_trip_identical(workdir):
@@ -194,7 +245,13 @@ _BAD_LABEL_SET = {**THREE_TILE_JSON, "tiles": [
     {**THREE_TILE_JSON["tiles"][0], "n": ["a"]}, *THREE_TILE_JSON["tiles"][1:]]}
 _BAD_PIECES = {"bare-number": 5,
                "cells-number": [{"name": "m", "cells": 5}],
-               "cells-strings": [{"name": "m", "cells": [["a", "b"]]}]}
+               "cells-strings": [{"name": "m", "cells": [["a", "b"]]}],
+               **{f"cells-{name}": [{"name": "m", "cells": [cell]}]
+                  for name, cell in {"bool": [True, 0],
+                                     "triple": [0, 0, 0],
+                                     "float": [0.0, 0],
+                                     "2-to-31": [2 ** 31, 0],
+                                     "object": {"x": 0}}.items()}}
 
 _ONE_TILE_SET = {"colors": ["a"], "tiles": [{"n": "a", "e": "a", "s": "a", "w": "a"}]}
 
@@ -218,7 +275,9 @@ _INPUT_ERRORS = {
            "cells-string": {"cells": ["0"]},
            "cells-float": {"cells": [0.0]},
            "cells-number": {"cells": 5},
-           "p-string": {"p": "1", "cells": [0]}}.items()},
+           "p-string": {"p": "1", "cells": [0]},
+           # A valid 3x1 torus but for the flag, which must be a JSON bool.
+           "torus-string": {"p": 3, "torus": "no", "cells": [0, 1, 2]}}.items()},
     "compile-label-list": ("compile", "wang_set", _BAD_LABEL_SET),
     "solve-wang-label-list": ("solve-wang", "wang_set", _BAD_LABEL_SET),
     "simulate-one-tile-one-color": ("simulate", "wang_set", _ONE_TILE_SET),

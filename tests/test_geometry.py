@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polywang.geometry import (
+    COORD_BOUND,
     GeometryError,
     Polyomino,
     RectilinearPolygon,
@@ -10,6 +11,7 @@ from polywang.geometry import (
     bounding_box,
     canonical,
     is_connected,
+    is_coord_pair,
     rasterize,
     translate,
 )
@@ -74,6 +76,92 @@ def test_is_connected():
     assert not is_connected({(0, 0), (1, 1)})  # diagonal does not count
     assert not is_connected(set())
     assert is_connected(L_SLOT_CELLS)  # 18-cell tab shape
+    far = COORD_BOUND - 1
+    assert is_connected([(far - 1, -far), (far, -far), (far, -far)])
+    assert not is_connected([(far, 0), (-far, 0)])
+    assert not is_connected([(0, far), (0, -far)])
+    # Flat row-major indices of these two cells wrap int64 into a cell and
+    # the one above it.
+    assert not is_connected([(0, 0), (2, -0x5555555555555557)])
+
+
+def _bfs_connected(cells) -> bool:
+    """Oracle: a flood fill over shared edges from one cell reaches all."""
+    cells = set(cells)
+    if not cells:
+        return False
+    start = next(iter(cells))
+    seen, stack = {start}, [start]
+    while stack:
+        x, y = stack.pop()
+        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(cells)
+
+
+_STEPS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+
+
+@st.composite
+def walked_cells(draw):
+    """A walk of edge and diagonal steps from a start that may be negative,
+    with some cells cut out again: holes, diagonal-only contact, or none."""
+    x, y = draw(st.tuples(st.integers(-30, 30), st.integers(-30, 30)))
+    cells = [(x, y)]
+    for dx, dy in draw(st.lists(st.sampled_from(_STEPS), max_size=40)):
+        x, y = x + dx, y + dy
+        cells.append((x, y))
+    cut = draw(st.sets(st.sampled_from(cells), max_size=4))
+    return [c for c in cells if c not in cut]
+
+
+def _line(x0, y0, flags, vertical):
+    return [(x0, y0 + i) if vertical else (x0 + i, y0)
+            for i, on in enumerate(flags) if on]
+
+
+@st.composite
+def holed_rectangles(draw):
+    x0, y0 = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    holes = draw(st.sets(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))))
+    return [(x0 + i, y0 + j) for i in range(w) for j in range(h)
+            if (i, j) not in holes]
+
+
+_CELL_SETS = (walked_cells() | holed_rectangles()
+              | st.builds(_line, st.integers(-9, 9), st.integers(-9, 9),
+                          st.lists(st.booleans(), max_size=12), st.booleans())
+              | st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3))))
+
+
+@given(_CELL_SETS)
+@settings(max_examples=500)
+def test_is_connected_matches_flood_fill(cells):
+    assert is_connected(cells) == _bfs_connected(cells)
+    assert is_connected(frozenset(cells)) == _bfs_connected(cells)
+
+
+_JSON_CELLS = st.lists(
+    st.lists(st.sampled_from([0, 1, -1, COORD_BOUND - 1, COORD_BOUND,
+                              -COORD_BOUND + 1, -COORD_BOUND, 2 ** 70, True,
+                              False, 0.0, 1.5, "0", None]), max_size=3)
+    | st.integers(-1, 1) | st.just({"x": 0}) | st.just("ab"),
+    max_size=4)
+
+
+@given(_JSON_CELLS)
+@settings(max_examples=300)
+def test_piece_entry_accepts_exactly_coord_pairs(cells):
+    try:
+        Polyomino.from_json({"name": "p", "cells": cells})
+        accepted = True
+    except GeometryError as exc:
+        # Cells that pass may still be empty or disconnected.
+        accepted = "integer pairs" not in str(exc)
+    assert accepted == all(map(is_coord_pair, cells))
 
 
 def test_reduce_mod_square_lattice():
@@ -97,6 +185,18 @@ def test_degenerate_lattice_rejected():
 
 def test_canonical_order():
     assert canonical([(1, 0), (0, 1), (0, 0)]) == ((0, 0), (1, 0), (0, 1))
+
+
+@given(st.sets(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1))
+def test_polyomino_to_json_lists_cells_in_canonical_order(cells):
+    # A spine at x = -6 with a tooth reaching each drawn cell.
+    piece = Polyomino(frozenset({(-6, y) for y in range(-5, 6)}
+                                | {(i, y) for x, y in cells for i in range(-6, x + 1)}),
+                      "comb")
+    assert piece.to_json() == {"name": "comb",
+                               "cells": [list(c) for c in canonical(piece.cells)]}
+    assert piece.to_json()["cells"] == sorted(piece.to_json()["cells"],
+                                              key=lambda c: (c[1], c[0]))
 
 
 def test_bounding_box():
