@@ -54,9 +54,8 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
 def _json_text(obj, end: str = "\n") -> str:
     """``json.dumps(obj, indent=1)`` for dicts with str keys, lists, str,
     int, bool and None.  ``end`` is a newline plus obj's own indent."""
-    scalar = _SCALARS.get(type(obj))
-    if scalar is not None:
-        return scalar(obj)
+    if type(obj) in _SCALARS:
+        return _SCALARS[type(obj)](obj)
     if not isinstance(obj, (dict, list)):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     opening, closing = "{}" if isinstance(obj, dict) else "[]"

@@ -77,8 +77,9 @@ def is_connected(cells: Iterable[Cell]) -> bool:
     return sum(i == r for i, r in enumerate(parent)) == 1
 
 
-def _cell_array(cells: Iterable[Cell]) -> np.ndarray:  # (x, y) rows
-    return np.fromiter(chain.from_iterable(cells), np.int64).reshape(-1, 2)
+def _cell_array(cells: CellSet) -> np.ndarray:  # (x, y) rows
+    flat = np.fromiter(chain.from_iterable(cells), np.int64, 2 * len(cells))
+    return flat.reshape(-1, 2)
 
 
 @dataclass(frozen=True)
