@@ -1,9 +1,11 @@
 """Catalog of the elementary building blocks.
 
 Every block is a 10x10 functional square, possibly with a bump protruding
-outside the frame or a dent/slot carved out of it.  Geometry is transcribed
-as rectilinear polygons and rasterized once at import time.  Blocks are
-anchored at their southwest frame corner.
+outside the frame or a dent/slot carved out of it.  The whole catalogue is
+derived from one table of bump/dent pairs (each bump's outline and where
+its dent block sits) and the two slot anchors; outlines are rectilinear
+polygons rasterized once at import time.  Blocks are anchored at their
+southwest frame corner.
 """
 
 from __future__ import annotations
@@ -40,41 +42,34 @@ class BlockKind(Enum):
     B_DENT = "b"
 
 
-# Slot/bump outlines, one authoritative polygon per shape.
-_SLOT_POLY = RectilinearPolygon(
-    ((1, 0), (1, 10), (2, 10), (2, 9), (4, 9), (4, 6), (3, 6), (3, 8),
-     (2, 8), (2, 2), (3, 2), (3, 4), (4, 4), (4, 1), (2, 1), (2, 0))
-)
-_Y_PLUS_POLY = RectilinearPolygon(
-    ((4, 10), (4, 13), (2, 13), (2, 12), (3, 12), (3, 11), (1, 11),
-     (1, 14), (5, 14), (5, 10))
-)
-_Y_MINUS_POLY = RectilinearPolygon(
-    ((4, 0), (4, -3), (2, -3), (2, -2), (3, -2), (3, -1), (1, -1),
-     (1, -4), (5, -4), (5, 0))
-)
-_X_POLY = RectilinearPolygon(
-    ((10, 9), (12, 9), (12, 1), (11, 1), (11, 8), (10, 8))
-)
-_A_POLY = RectilinearPolygon(
-    ((10, 9), (14, 9), (14, 6), (12, 6), (12, 1), (11, 1), (11, 7),
-     (13, 7), (13, 8), (10, 8))
-)
-_B_POLY = RectilinearPolygon(
-    ((10, 9), (14, 9), (14, 2), (12, 2), (12, 1), (11, 1), (11, 7),
-     (12, 7), (12, 3), (13, 3), (13, 8), (10, 8))
-)
-
 SQUARE: CellSet = frozenset((x, y) for x in range(BLOCK) for y in range(BLOCK))
 
-SLOT_CELLS = rasterize(_SLOT_POLY)               # the l-slot; r is this +(5,0)
+SLOT_CELLS = rasterize(RectilinearPolygon(  # the l-slot
+    ((1, 0), (1, 10), (2, 10), (2, 9), (4, 9), (4, 6), (3, 6), (3, 8),
+     (2, 8), (2, 2), (3, 2), (3, 4), (4, 4), (4, 1), (2, 1), (2, 0))))
 TAB_CELLS = translate(SLOT_CELLS, (-1, 0))       # tab with its own origin at x=0
 
-_YP_BUMP = rasterize(_Y_PLUS_POLY)
-_YM_BUMP = rasterize(_Y_MINUS_POLY)
-_X_BUMP = rasterize(_X_POLY)
-_A_BUMP = rasterize(_A_POLY)
-_B_BUMP = rasterize(_B_POLY)
+# Each bump kind, its dent kind, the offset of the dent block's frame from
+# the bump block's, and the outline of the bump's protrusion.
+_PAIRS = (
+    (BlockKind.Y_PLUS, BlockKind.Y_PLUS_DENT, (0, BLOCK),
+     ((4, 10), (4, 13), (2, 13), (2, 12), (3, 12), (3, 11), (1, 11),
+      (1, 14), (5, 14), (5, 10))),
+    (BlockKind.Y_MINUS, BlockKind.Y_MINUS_DENT, (0, -BLOCK),
+     ((4, 0), (4, -3), (2, -3), (2, -2), (3, -2), (3, -1), (1, -1),
+      (1, -4), (5, -4), (5, 0))),
+    (BlockKind.X_BUMP, BlockKind.X_DENT, (BLOCK, 0),
+     ((10, 9), (12, 9), (12, 1), (11, 1), (11, 8), (10, 8))),
+    (BlockKind.A_BUMP, BlockKind.A_DENT, (BLOCK, 0),
+     ((10, 9), (14, 9), (14, 6), (12, 6), (12, 1), (11, 1), (11, 7),
+      (13, 7), (13, 8), (10, 8))),
+    (BlockKind.B_BUMP, BlockKind.B_DENT, (BLOCK, 0),
+     ((10, 9), (14, 9), (14, 2), (12, 2), (12, 1), (11, 1), (11, 7),
+      (12, 7), (12, 3), (13, 3), (13, 8), (10, 8))),
+)
+# Anchor of the tab inside each slot block's frame (the r-slot is the l-slot
+# moved 5 units east).
+_SLOT_ANCHORS = {BlockKind.SLOT_LEFT: (1, 0), BlockKind.SLOT_RIGHT: (6, 0)}
 
 
 @dataclass(frozen=True)
@@ -98,78 +93,34 @@ class BlockGeometry:
         return self.base | self.protrusion
 
 
-_CATALOG: dict[BlockKind, BlockGeometry] = {
-    BlockKind.FUNCTIONAL: BlockGeometry(SQUARE),
-    BlockKind.SLOT_LEFT: BlockGeometry(SQUARE - SLOT_CELLS, dent=SLOT_CELLS),
-    BlockKind.SLOT_RIGHT: BlockGeometry(
-        SQUARE - translate(SLOT_CELLS, (5, 0)),
-        dent=translate(SLOT_CELLS, (5, 0)),
-    ),
-    BlockKind.TAB: BlockGeometry(TAB_CELLS),
-    BlockKind.Y_PLUS: BlockGeometry(SQUARE, protrusion=_YP_BUMP, bump_dir=(0, 1)),
-    BlockKind.Y_PLUS_DENT: BlockGeometry(
-        SQUARE - translate(_YP_BUMP, (0, -BLOCK)),
-        dent=translate(_YP_BUMP, (0, -BLOCK)),
-        dent_dir=(0, -1),
-    ),
-    BlockKind.Y_MINUS: BlockGeometry(SQUARE, protrusion=_YM_BUMP, bump_dir=(0, -1)),
-    BlockKind.Y_MINUS_DENT: BlockGeometry(
-        SQUARE - translate(_YM_BUMP, (0, BLOCK)),
-        dent=translate(_YM_BUMP, (0, BLOCK)),
-        dent_dir=(0, 1),
-    ),
-    BlockKind.X_BUMP: BlockGeometry(SQUARE, protrusion=_X_BUMP, bump_dir=(1, 0)),
-    BlockKind.X_DENT: BlockGeometry(
-        SQUARE - translate(_X_BUMP, (-BLOCK, 0)),
-        dent=translate(_X_BUMP, (-BLOCK, 0)),
-        dent_dir=(-1, 0),
-    ),
-    BlockKind.A_BUMP: BlockGeometry(SQUARE, protrusion=_A_BUMP, bump_dir=(1, 0)),
-    BlockKind.A_DENT: BlockGeometry(
-        SQUARE - translate(_A_BUMP, (-BLOCK, 0)),
-        dent=translate(_A_BUMP, (-BLOCK, 0)),
-        dent_dir=(-1, 0),
-    ),
-    BlockKind.B_BUMP: BlockGeometry(SQUARE, protrusion=_B_BUMP, bump_dir=(1, 0)),
-    BlockKind.B_DENT: BlockGeometry(
-        SQUARE - translate(_B_BUMP, (-BLOCK, 0)),
-        dent=translate(_B_BUMP, (-BLOCK, 0)),
-        dent_dir=(-1, 0),
-    ),
-}
+def _derive_catalog():
+    """Every kind's geometry and partner, from the pair and slot tables."""
+    catalog = {BlockKind.FUNCTIONAL: BlockGeometry(SQUARE),
+               BlockKind.TAB: BlockGeometry(TAB_CELLS)}
+    partners = {}
+    for bump, dent, (dx, dy), outline in _PAIRS:
+        cells = rasterize(RectilinearPolygon(outline))
+        hole = translate(cells, (-dx, -dy))  # the bump seen from the dent block
+        sx, sy = (dx > 0) - (dx < 0), (dy > 0) - (dy < 0)
+        catalog[bump] = BlockGeometry(SQUARE, protrusion=cells, bump_dir=(sx, sy))
+        catalog[dent] = BlockGeometry(SQUARE - hole, dent=hole, dent_dir=(-sx, -sy))
+        partners[bump], partners[dent] = dent, bump
+    for slot, anchor in _SLOT_ANCHORS.items():
+        hole = translate(TAB_CELLS, anchor)
+        catalog[slot] = BlockGeometry(SQUARE - hole, dent=hole)
+        partners[slot] = BlockKind.TAB
+    return catalog, partners
 
-_PARTNER = {
-    BlockKind.Y_PLUS: BlockKind.Y_PLUS_DENT,
-    BlockKind.Y_PLUS_DENT: BlockKind.Y_PLUS,
-    BlockKind.Y_MINUS: BlockKind.Y_MINUS_DENT,
-    BlockKind.Y_MINUS_DENT: BlockKind.Y_MINUS,
-    BlockKind.X_BUMP: BlockKind.X_DENT,
-    BlockKind.X_DENT: BlockKind.X_BUMP,
-    BlockKind.A_BUMP: BlockKind.A_DENT,
-    BlockKind.A_DENT: BlockKind.A_BUMP,
-    BlockKind.B_BUMP: BlockKind.B_DENT,
-    BlockKind.B_DENT: BlockKind.B_BUMP,
-    BlockKind.SLOT_LEFT: BlockKind.TAB,
-    BlockKind.SLOT_RIGHT: BlockKind.TAB,
-}
+
+_CATALOG, _PARTNER = _derive_catalog()
 
 # Offset at which a dent/slot is completed by its partner: the partner block
 # position for bump/dent pairs, the tab anchor for the two slots.
-CANONICAL_OFFSETS = {
-    BlockKind.Y_PLUS: (0, BLOCK),
-    BlockKind.Y_MINUS: (0, -BLOCK),
-    BlockKind.X_BUMP: (BLOCK, 0),
-    BlockKind.A_BUMP: (BLOCK, 0),
-    BlockKind.B_BUMP: (BLOCK, 0),
-    BlockKind.SLOT_LEFT: (1, 0),
-    BlockKind.SLOT_RIGHT: (6, 0),
-}
+CANONICAL_OFFSETS = {bump: offset for bump, _, offset, _ in _PAIRS} | _SLOT_ANCHORS
 
-BUMP_KINDS = (BlockKind.Y_PLUS, BlockKind.Y_MINUS, BlockKind.X_BUMP,
-              BlockKind.A_BUMP, BlockKind.B_BUMP)
-DENT_KINDS = (BlockKind.Y_PLUS_DENT, BlockKind.Y_MINUS_DENT, BlockKind.X_DENT,
-              BlockKind.A_DENT, BlockKind.B_DENT)
-SLOT_KINDS = (BlockKind.SLOT_LEFT, BlockKind.SLOT_RIGHT)
+BUMP_KINDS = tuple(bump for bump, *_ in _PAIRS)
+DENT_KINDS = tuple(dent for _, dent, *_ in _PAIRS)
+SLOT_KINDS = tuple(_SLOT_ANCHORS)
 
 
 def geometry(kind: BlockKind) -> BlockGeometry:

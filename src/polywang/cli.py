@@ -262,6 +262,9 @@ def run(argv: list[str] | None = None) -> int:
             KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 def main() -> None:

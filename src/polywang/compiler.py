@@ -10,15 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import blocks
-from .blocks import BLOCK, BlockKind, geometry, partner
+from .blocks import BLOCK, CANONICAL_OFFSETS, BlockKind, geometry, partner
 from .geometry import Polyomino, Vec, translate
 from .wang import WangTileSet
 
 PIECE_NAMES = ("encoder", "l_linker", "r_linker", "a_filler", "b_filler",
                "connector", "t_filler")
 
-TAB_ANCHOR_LEFT: Vec = blocks.CANONICAL_OFFSETS[BlockKind.SLOT_LEFT]
-TAB_ANCHOR_RIGHT: Vec = blocks.CANONICAL_OFFSETS[BlockKind.SLOT_RIGHT]
+# The linker whose two tabs fill slots of each kind.
+LINKER_PIECE = {BlockKind.SLOT_LEFT: "l_linker", BlockKind.SLOT_RIGHT: "r_linker"}
 
 
 class CompileError(ValueError):
@@ -214,8 +214,8 @@ def compile_pieces(tileset: WangTileSet) -> SevenPieceSet:
     require_supported(tileset)
     pieces = (
         assemble(_encoder_grid(tileset), "encoder"),
-        assemble(_linker_grid(tileset, TAB_ANCHOR_LEFT), "l_linker"),
-        assemble(_linker_grid(tileset, TAB_ANCHOR_RIGHT), "r_linker"),
+        *(assemble(_linker_grid(tileset, CANONICAL_OFFSETS[slot]), name)
+          for slot, name in LINKER_PIECE.items()),
         assemble(_filler_grid(BlockKind.A_DENT, BlockKind.A_BUMP), "a_filler"),
         assemble(_filler_grid(BlockKind.B_DENT, BlockKind.B_BUMP), "b_filler"),
         assemble(_connector_grid(tileset), "connector"),

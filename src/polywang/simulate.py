@@ -3,18 +3,19 @@
 Wang cells are mapped to diamond coordinates (u, v) = (a, b - a); connectors
 then sit on a rigid lattice with horizontal period P = 2n(2t+2) block
 columns, and every Wang cell contributes one connector, one encoder, n-1
-bigger fillers, 2t linkers, and 4t(n-1) tiny fillers.
+bigger fillers, 2t linkers, and 4t(n-1) tiny fillers.  Where these sit
+relative to the cell's connector depends on its tile alone, so each tile's
+placements are laid out once and moved to every cell that holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import BLOCK, BlockKind
+from .blocks import BLOCK, CANONICAL_OFFSETS
 from .compiler import (
+    LINKER_PIECE,
     PIECE_NAMES,
-    TAB_ANCHOR_LEFT,
-    TAB_ANCHOR_RIGHT,
     encode_color,
     encoder_block_at,
     encoder_width,
@@ -75,52 +76,37 @@ class SimulatedTiling:
                 "placements": [pl.to_json() for pl in self.placements]}
 
 
-_LINKER_NAME = {BlockKind.SLOT_LEFT: "l_linker", BlockKind.SLOT_RIGHT: "r_linker"}
-
-
-def _cell_placements(tileset: WangTileSet, tiling: WangTiling,
-                     a: int, b: int) -> list[Placement]:
-    """All placements attributed to Wang cell (a, b), in block units x 10."""
+def _tile_templates(tileset: WangTileSet) -> list[list[tuple[str, int, int]]]:
+    """Each tile's placements as (piece, dx, dy) in units from the connector
+    origin of a Wang cell holding it."""
     n, t = tileset.n, tileset.t
-    pat = PatternLattice(n, t)
-    P = pat.period
-    i = tiling.at(a, b) + 1  # 1-based tile index
-    tile = tileset.tiles[i - 1]
-    u, v = wang_cell_to_diamond(a, b)
-    kx, ky = pat.connector_origin(u, v)
+    width = encoder_width(tileset)
+    half = PatternLattice(n, t).period // 2
+    # Slot blocks of the encoder's top and bottom rows: (col, row, kind).
+    slots = [(col, row, kind) for row in (0, 2) for col in range(0, width, 2)
+             if (kind := encoder_block_at(tileset, col, row)) in LINKER_PIECE]
 
-    def at_block(name: str, col: int, row: int, unit: Vec = (0, 0)) -> Placement:
-        return Placement(name, (BLOCK * col + unit[0], BLOCK * row + unit[1]))
+    def at(piece: str, col: int, row: int, unit: Vec = (0, 0)):
+        return (piece, BLOCK * col + unit[0], BLOCK * row + unit[1])
 
-    out = [at_block("connector", kx, ky)]
-    k = n - i  # configuration index: number of A-fillers west of the encoder
-    for j in range(k):
-        out.append(at_block("a_filler", kx + 2 + 2 * j, 6 * v))
-    ex = kx + 2 + 2 * k
-    out.append(at_block("encoder", ex, 6 * v))
-    for j in range(n - 1 - k):
-        out.append(at_block("b_filler", ex + encoder_width(tileset) + 2 * j, 6 * v))
-
-    # Gap row above: one linker per color bit, typed by the bit's slot kind.
-    west, north = encode_color(tile.west, t), encode_color(tile.north, t)
-    for j in range(t):
-        out.append(at_block(_LINKER_NAME[west[j]], kx + 2 * n * (j + 1), 6 * v + 3))
-        out.append(at_block(_LINKER_NAME[north[j]],
-                            kx + P // 2 + 2 * n * (j + 1), 6 * v + 3))
-
-    # Tiny fillers in every slot column that is not one of tile i's own.
-    for row in (0, 2):
-        for col in range(0, encoder_width(tileset), 2):
-            if col % (2 * n) == 2 * (i - 1):
-                continue
-            kind = encoder_block_at(tileset, col, row)
-            if kind == BlockKind.SLOT_LEFT:
-                out.append(at_block("t_filler", ex + col, 6 * v + row,
-                                    TAB_ANCHOR_LEFT))
-            elif kind == BlockKind.SLOT_RIGHT:
-                out.append(at_block("t_filler", ex + col, 6 * v + row,
-                                    TAB_ANCHOR_RIGHT))
-    return out
+    templates = []
+    for i, tile in enumerate(tileset.tiles):
+        k = n - 1 - i  # configuration index: number of A-fillers west of the encoder
+        ex = 2 + 2 * k
+        out = [at("connector", 0, 0)]
+        out += [at("a_filler", 2 + 2 * j, 3) for j in range(k)]
+        out.append(at("encoder", ex, 3))
+        out += [at("b_filler", ex + width + 2 * j, 3) for j in range(i)]
+        # Gap row above: one linker per color bit, typed by the bit's slot kind.
+        west, north = encode_color(tile.west, t), encode_color(tile.north, t)
+        for j in range(t):
+            out.append(at(LINKER_PIECE[west[j]], 2 * n * (j + 1), 6))
+            out.append(at(LINKER_PIECE[north[j]], half + 2 * n * (j + 1), 6))
+        # Tiny fillers in every slot column that is not one of tile i's own.
+        out += [at("t_filler", ex + col, 3 + row, CANONICAL_OFFSETS[kind])
+                for col, row, kind in slots if col % (2 * n) != 2 * i]
+        templates.append(out)
+    return templates
 
 
 def emit_placements(tileset: WangTileSet, tiling: WangTiling) -> SimulatedTiling:
@@ -132,11 +118,14 @@ def emit_placements(tileset: WangTileSet, tiling: WangTiling) -> SimulatedTiling
         raise WangInputError("input Wang tiling has violations")
     pat = PatternLattice(tileset.n, tileset.t)
     lat = pat.torus_lattice(tiling.p, tiling.q)
+    templates = _tile_templates(tileset)
     placements = []
-    for bb in range(tiling.q):
-        for aa in range(tiling.p):
-            for pl in _cell_placements(tileset, tiling, aa, bb):
-                placements.append(Placement(pl.piece, lat.reduce(pl.at)))
+    for b in range(tiling.q):
+        for a in range(tiling.p):
+            kx, ky = pat.connector_origin(*wang_cell_to_diamond(a, b))
+            x0, y0 = BLOCK * kx, BLOCK * ky
+            placements += [Placement(piece, lat.reduce((x0 + dx, y0 + dy)))
+                           for piece, dx, dy in templates[tiling.at(a, b)]]
     placements.sort(key=lambda pl: (PIECE_ORDER[pl.piece], pl.at[1], pl.at[0]))
     return SimulatedTiling(lat, tuple(placements))
 

@@ -125,3 +125,46 @@ def test_block_frames():
         assert not (geo.protrusion & SQUARE), kind
         if geo.dent:
             assert geo.base | geo.dent == SQUARE, kind
+
+
+# (len(base), len(protrusion), len(dent), dent_dir, bump_dir) and partner of
+# every kind, as the hand-written catalogue gave them.
+_CATALOG_PINS = {
+    BlockKind.FUNCTIONAL: ((100, 0, 0, None, None), None),
+    BlockKind.SLOT_LEFT: ((82, 0, 18, None, None), BlockKind.TAB),
+    BlockKind.SLOT_RIGHT: ((82, 0, 18, None, None), BlockKind.TAB),
+    BlockKind.TAB: ((18, 0, 0, None, None), None),
+    BlockKind.Y_PLUS: ((100, 10, 0, None, (0, 1)), BlockKind.Y_PLUS_DENT),
+    BlockKind.Y_PLUS_DENT: ((90, 0, 10, (0, -1), None), BlockKind.Y_PLUS),
+    BlockKind.Y_MINUS: ((100, 10, 0, None, (0, -1)), BlockKind.Y_MINUS_DENT),
+    BlockKind.Y_MINUS_DENT: ((90, 0, 10, (0, 1), None), BlockKind.Y_MINUS),
+    BlockKind.X_BUMP: ((100, 9, 0, None, (1, 0)), BlockKind.X_DENT),
+    BlockKind.X_DENT: ((91, 0, 9, (-1, 0), None), BlockKind.X_BUMP),
+    BlockKind.A_BUMP: ((100, 13, 0, None, (1, 0)), BlockKind.A_DENT),
+    BlockKind.A_DENT: ((87, 0, 13, (-1, 0), None), BlockKind.A_BUMP),
+    BlockKind.B_BUMP: ((100, 17, 0, None, (1, 0)), BlockKind.B_DENT),
+    BlockKind.B_DENT: ((83, 0, 17, (-1, 0), None), BlockKind.B_BUMP),
+}
+
+
+def test_catalogue_pinned():
+    assert set(_CATALOG_PINS) == set(BlockKind)
+    for kind, (shape, other) in _CATALOG_PINS.items():
+        geo = geometry(kind)
+        assert (len(geo.base), len(geo.protrusion), len(geo.dent),
+                geo.dent_dir, geo.bump_dir) == shape, kind
+        if other is None:
+            with pytest.raises(ValueError):
+                partner(kind)
+        else:
+            assert partner(kind) == other, kind
+    assert CANONICAL_OFFSETS == {
+        BlockKind.Y_PLUS: (0, 10), BlockKind.Y_MINUS: (0, -10),
+        BlockKind.X_BUMP: (10, 0), BlockKind.A_BUMP: (10, 0),
+        BlockKind.B_BUMP: (10, 0),
+        BlockKind.SLOT_LEFT: (1, 0), BlockKind.SLOT_RIGHT: (6, 0),
+    }
+    assert BUMP_KINDS == (BlockKind.Y_PLUS, BlockKind.Y_MINUS, BlockKind.X_BUMP,
+                          BlockKind.A_BUMP, BlockKind.B_BUMP)
+    assert DENT_KINDS == tuple(map(partner, BUMP_KINDS))
+    assert SLOT_KINDS == (BlockKind.SLOT_LEFT, BlockKind.SLOT_RIGHT)

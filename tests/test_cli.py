@@ -215,6 +215,23 @@ def test_malformed_placement_is_input_error(workdir, capsys, at):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("region", [
+    {"rect": [2000000000, 2000000000]},
+    {"lattice": [[2000000000, 0], [0, 2000000000]]},
+])
+def test_region_too_large_is_resource_limit(tmp_path, capsys, region):
+    # 4e18 cells: the count array is larger than any address space.
+    pieces = tmp_path / "mono.json"
+    pieces.write_text(json.dumps([{"name": "m", "cells": [[0, 0]]}]))
+    tiling = tmp_path / "huge.json"
+    tiling.write_text(json.dumps(
+        {**region, "placements": [{"piece": "m", "at": [0, 0]}]}))
+    capsys.readouterr()
+    assert _run("verify", pieces, tiling, "-o", tmp_path / "r.json") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_render_rect_tiling(workdir):
     dom = workdir / "dominoes.json"
     dom.write_text(json.dumps([

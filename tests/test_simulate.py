@@ -1,6 +1,10 @@
+import hashlib
 import json
+import random
 
 import pytest
+
+from polywang import cli
 
 from polywang.compiler import compile_pieces
 from polywang.simulate import (
@@ -123,3 +127,41 @@ def test_simulated_tiling_round_trip(three_tile_set, three_tile_torus):
                            tuple(map(Placement.from_json, obj["placements"])))
     assert back == sim
     assert json.dumps(back.to_json(), indent=1) == json.dumps(obj, indent=1)
+
+
+def _nine_distinct_tiles(seed: int) -> WangTileSet:
+    """A 4-colour set of the nine distinct tiles of a random 3x3 torus
+    colouring; tile k sits on Wang cell k, row-major."""
+    rng = random.Random(seed)
+    while True:
+        east = [[rng.randrange(4) for _ in range(3)] for _ in range(3)]
+        north = [[rng.randrange(4) for _ in range(3)] for _ in range(3)]
+        tiles = [(north[b][a], east[b][a], north[(b - 1) % 3][a],
+                  east[b][(a - 1) % 3]) for b in range(3) for a in range(3)]
+        if len(set(tiles)) == 9:
+            break
+    return WangTileSet(tuple(WangTile(*e) for e in tiles),
+                       tuple(f"c{i}" for i in range(4)))
+
+
+# Tile 2 matches itself on every side; tiles 0, 1, 3 cycle the colours
+# c0 -> c5 -> c7 -> c0 up column 1 of a 2 x 3 torus.
+_FOUR_TILES = WangTileSet(
+    (WangTile(5, 0, 0, 0), WangTile(7, 0, 5, 0), WangTile(0, 0, 0, 0),
+     WangTile(0, 0, 7, 0)),
+    tuple(f"c{i}" for i in range(8)))
+
+
+def test_emit_output_pinned(three_tile_set, three_tile_torus):
+    # sha256 of the simulate output bytes: placement order and every offset.
+    cases = [
+        (three_tile_set, three_tile_torus,
+         "5d13556b24d944634feb206718b3b1cfdbba4443a68a6d494ca30793ef572298"),
+        (_nine_distinct_tiles(1), WangTiling(3, 3, True, tuple(range(9))),
+         "3926d0880193ff7998cb2bbdb98f3fc4e393cbf992f49c5e9d321ce42f11b5a8"),
+        (_FOUR_TILES, WangTiling(2, 3, True, (2, 0, 2, 1, 2, 3)),
+         "7f80e80870e4e37b22689ec8848ac4e4ca9ddc275d2ab64b40713826a7a3f13c"),
+    ]
+    for tileset, tiling, digest in cases:
+        text = cli._json_text(emit_placements(tileset, tiling).to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
