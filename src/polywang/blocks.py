@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .geometry import (
     CellSet,
     RectilinearPolygon,
     Vec,
+    cell_array,
     rasterize,
     translate,
 )
@@ -91,6 +92,11 @@ class BlockGeometry:
     @property
     def cells(self) -> CellSet:
         return self.base | self.protrusion
+
+    @cached_property
+    def arrays(self):
+        """``cells`` and ``dent`` as int64 (x, y) row arrays."""
+        return cell_array(self.cells), cell_array(self.dent)
 
 
 def _derive_catalog():

@@ -108,6 +108,8 @@ def _parse_region(args) -> solver.Region:
 
 
 def cmd_solve_poly(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise CliError(f"--limit must be at least 1, got {args.limit}")
     pieces = _load_polyominoes(args.pieces)
     region = _parse_region(args)
     universe = solver.build_universe(region, pieces)
@@ -120,13 +122,11 @@ def cmd_solve_poly(args) -> int:
     if args.mode == "count":
         _write(args.output, f"{result}\n")
         return EXIT_OK
-    sols = [result] if args.mode == "first" and result is not None else \
-        (result if args.mode == "enumerate" else [])
-    if not sols:
+    if not result:  # no tiling (first) or none of them (enumerate)
         _write(args.output, "UNSAT\n")
         return EXIT_UNSAT
-    _dump_json(args.output, [_tiling_json(region, s) for s in sols]
-               if args.mode == "enumerate" else _tiling_json(region, sols[0]))
+    _dump_json(args.output, [_tiling_json(region, s) for s in result]
+               if args.mode == "enumerate" else _tiling_json(region, result))
     return EXIT_OK
 
 
@@ -185,8 +185,8 @@ def cmd_info(args) -> int:
     pieces = _load_polyominoes(args.pieces)
     rows = []
     for p in pieces:
-        x0, y0, x1, y1 = bounding_box(p.cells)
-        rows.append(f"{p.name:12s} {len(p.cells):6d} cells  "
+        x0, y0, x1, y1 = bounding_box(p.xy)
+        rows.append(f"{p.name:12s} {len(p):6d} cells  "
                     f"bbox {x1 - x0}x{y1 - y0} at ({x0},{y0})  "
                     "connected=True")  # checked by Polyomino.from_json
     _write(args.output, "\n".join(rows) + "\n")

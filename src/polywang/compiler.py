@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import blocks
 from .blocks import BLOCK, CANONICAL_OFFSETS, BlockKind, geometry, partner
-from .geometry import Polyomino, Vec, translate
+from .geometry import Polyomino, Vec
 from .wang import WangTileSet
 
 PIECE_NAMES = ("encoder", "l_linker", "r_linker", "a_filler", "b_filler",
@@ -88,32 +90,36 @@ def assemble(grid: BlockGrid, name: str) -> Polyomino:
     """Realize a block grid as a unit-cell polyomino.
 
     Cells may only coincide where a bump exactly fills a neighboring dent;
-    a dent that faces an occupied neighbor must end up filled.
+    a dent that faces an occupied neighbor must end up filled.  Both are
+    checked on the sorted row-major keys of all the blocks' cells.
     """
     occupied = grid.entries
-    cells: set = set()
+    cells, dents, dent_blocks = [], [], []
     for (col, row), (kind, anchor) in occupied.items():
         geo = geometry(kind)
         shift = (BLOCK * col + anchor[0], BLOCK * row + anchor[1])
-        placed = translate(geo.cells, shift)
-        clash = cells & placed
-        if clash:
-            raise CompileError(f"{name}: overlap at {sorted(clash)[:3]}")
-        cells |= placed
+        block, dent = geo.arrays
+        cells.append(block + shift)
         if geo.bump_dir is not None:
             nb = (col + geo.bump_dir[0], row + geo.bump_dir[1])
             if nb in occupied and occupied[nb][0] != partner(kind):
                 raise CompileError(f"{name}: bump at {(col, row)} hits {nb}")
-    for (col, row), (kind, anchor) in occupied.items():
-        geo = geometry(kind)
-        if geo.dent_dir is None:
-            continue
-        nb = (col + geo.dent_dir[0], row + geo.dent_dir[1])
-        if nb in occupied:
-            shift = (BLOCK * col + anchor[0], BLOCK * row + anchor[1])
-            if not translate(geo.dent, shift) <= cells:
-                raise CompileError(f"{name}: unfilled dent at {(col, row)}")
-    return Polyomino(frozenset(cells), name)
+        if geo.dent_dir is not None \
+                and (col + geo.dent_dir[0], row + geo.dent_dir[1]) in occupied:
+            dents.append(dent + shift)
+            dent_blocks += [(col, row)] * len(dent)
+    xy = np.concatenate(cells + dents)
+    key = xy[:, 1] * (int(np.ptp(xy[:, 0])) + 1) + xy[:, 0]  # one per cell
+    n = len(xy) - len(dent_blocks)
+    taken = np.sort(key[:n])
+    twice = taken[1:][taken[1:] == taken[:-1]]
+    if len(twice):
+        clash = set(map(tuple, xy[:n][np.isin(key[:n], twice)].tolist()))
+        raise CompileError(f"{name}: overlap at {sorted(clash)[:3]}")
+    hollow = np.flatnonzero(~np.isin(key[n:], taken))
+    if len(hollow):
+        raise CompileError(f"{name}: unfilled dent at {dent_blocks[hollow[0]]}")
+    return Polyomino(xy[:n], name)
 
 
 def _encoder_grid(tileset: WangTileSet) -> BlockGrid:

@@ -1,13 +1,14 @@
 """Integer-lattice cell sets, rectilinear polygons, and torus quotients.
 
 All coordinates are unit cells (x, y) with y growing northward.  Cell sets
-are plain frozensets of (x, y) tuples; the canonical iteration order for
-serialization is (y, x).
+are plain frozensets of (x, y) tuples, or int64 (k, 2) arrays of (x, y)
+rows; the canonical order for serialization is (y, x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
@@ -42,24 +43,31 @@ def translate(cells: Iterable[Cell], v: Vec) -> CellSet:
     return frozenset((x + dx, y + dy) for x, y in cells)
 
 
-def bounding_box(cells: Iterable[Cell]) -> tuple[int, int, int, int]:
+def cell_array(cells) -> np.ndarray:
+    """Cells as an int64 (k, 2) array of (x, y) rows, in the order given."""
+    if not isinstance(cells, np.ndarray):
+        cells = np.fromiter(chain.from_iterable(cells), np.int64)
+    return cells.astype(np.int64, copy=False).reshape(-1, 2)
+
+
+def bounding_box(cells) -> tuple[int, int, int, int]:
     """(xmin, ymin, xmax, ymax), max exclusive."""
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    return min(xs), min(ys), max(xs) + 1, max(ys) + 1
+    xy = cell_array(cells)
+    return (*xy.min(axis=0).tolist(), *(xy.max(axis=0) + 1).tolist())
 
 
-def is_connected(cells: Iterable[Cell]) -> bool:
-    """True iff the shared-edge adjacency graph on the cells is connected.
-
-    The empty set is not connected.  Diagonal contact does not count.  Row
-    runs of cells are merged by union-find with the runs they touch above.
-    """
-    xy = _cell_array(frozenset(cells))
-    if not len(xy) or np.ptp(xy, axis=0).max() >= len(xy):  # connected only if ptp < n
-        return False
-    width = np.ptp(xy[:, 0]) + 1
-    key = np.sort((xy[:, 1] - xy[:, 1].min()) * width + xy[:, 0] - xy[:, 0].min())
+def _connected_rows(xy: np.ndarray):
+    """Some cells' distinct (x, y) rows in canonical (y, x) order if they
+    are edge-connected, else None.  They are sorted by row-major keys in
+    their bounding box (no key is formed when a side is as long as the
+    cells are many: they are not connected), and their row runs are merged
+    by union-find with the runs they touch above."""
+    (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
+    if max(x1 - x0, y1 - y0) >= len(xy):
+        return None
+    width = x1 - x0 + 1
+    key = np.sort((xy[:, 1] - y0) * width + xy[:, 0] - x0)
+    key = key[np.diff(key, prepend=-1) != 0]
     # A run starts where a key does not follow the one before, or a row starts.
     run = np.cumsum((np.diff(key, prepend=key[0]) != 1) | (key % width == 0)) - 1
     above = np.minimum(np.searchsorted(key, key + width), len(key) - 1)
@@ -74,12 +82,17 @@ def is_connected(cells: Iterable[Cell]) -> bool:
 
     for a, b in set(zip(run[joined].tolist(), run[above[joined]].tolist())):
         parent[root(a)] = root(b)
-    return sum(i == r for i, r in enumerate(parent)) == 1
+    if sum(i == r for i, r in enumerate(parent)) > 1:
+        return None
+    dy, dx = np.divmod(key, width)
+    return np.column_stack((dx + x0, dy + y0))
 
 
-def _cell_array(cells: CellSet) -> np.ndarray:  # (x, y) rows
-    flat = np.fromiter(chain.from_iterable(cells), np.int64, 2 * len(cells))
-    return flat.reshape(-1, 2)
+def is_connected(cells: Iterable[Cell]) -> bool:
+    """True iff the shared-edge adjacency graph on the cells is connected
+    (never for no cells; diagonal contact does not count)."""
+    xy = cell_array(cells)
+    return len(xy) > 0 and _connected_rows(xy) is not None
 
 
 @dataclass(frozen=True)
@@ -264,29 +277,34 @@ def _ext_gcd(p: int, q: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
 class Polyomino:
-    """A named, non-empty, edge-connected set of unit cells."""
+    """A named, non-empty, edge-connected set of unit cells: ``xy``, a
+    read-only int64 array of distinct (x, y) rows in canonical (y, x)
+    order, built by the connectivity check; ``cells`` is a frozenset view
+    of it, derived on first use."""
 
-    cells: CellSet
-    name: str
+    def __init__(self, cells, name: str):
+        self.name = name
+        xy = cell_array(cells)
+        if not len(xy):
+            raise GeometryError(f"polyomino {name!r} is empty")
+        self.xy = _connected_rows(xy)
+        if self.xy is None:
+            raise GeometryError(f"polyomino {name!r} is not edge-connected")
+        self.xy.flags.writeable = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", frozenset(map(tuple, self.cells)))
-        if not self.cells:
-            raise GeometryError(f"polyomino {self.name!r} is empty")
-        if not is_connected(self.cells):
-            raise GeometryError(f"polyomino {self.name!r} is not edge-connected")
+    @cached_property
+    def cells(self) -> CellSet:
+        return frozenset(zip(*self.xy.T.tolist()))
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.xy)
 
     def canonical_cells(self) -> tuple[Cell, ...]:
-        return canonical(self.cells)
+        return tuple(zip(*self.xy.T.tolist()))
 
     def to_json(self) -> dict:
-        xy = _cell_array(self.cells)
-        return {"name": self.name, "cells": xy[np.lexsort(xy.T)].tolist()}
+        return {"name": self.name, "cells": self.xy.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polyomino":

@@ -126,11 +126,11 @@ def render_svg(spec: RenderSpec, payload: Sequence[Polyomino] | Sequence[Placeme
     else:
         shapes, entries, cursor = items, [], 0
         for k, piece in enumerate(items):
-            x0, y0, x1, _ = bounding_box(piece.cells)
+            x0, y0, x1, _ = bounding_box(piece.xy)
             entries.append((k, (cursor - x0, -y0)))
             cursor += (x1 - x0) + 2
 
-    boxes = [bounding_box(p.cells) for p in shapes]
+    boxes = [bounding_box(p.xy) for p in shapes]
     x0 = min(boxes[k][0] + ax for k, (ax, _) in entries)
     y0 = min(boxes[k][1] + ay for k, (_, ay) in entries)
     x1 = max(boxes[k][2] + ax for k, (ax, _) in entries)

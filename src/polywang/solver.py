@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .geometry import (Cell, CellSet, Polyomino, TorusLattice, Vec, canonical,
-                       is_coord_pair)
+                       cell_array, is_coord_pair)
 
 SolveMode = Literal["first", "count", "enumerate"]
 _BATCH_POINTS = 1 << 18  # placed points check_tiling materialises at a time
@@ -52,6 +52,10 @@ class Rectangle:
         inside = (xs >= 0) & (xs < self.width) & (ys >= 0) & (ys < self.height)
         return np.where(inside, ys * self.width + xs, -1)
 
+    def index_bound(self, big_x: int, big_y: int) -> int:
+        """Largest |value| ``index`` computes for |x| <= big_x, |y| <= big_y."""
+        return max(big_y * self.width + big_x, self.area)
+
     def to_json(self) -> dict:
         return {"rect": [self.width, self.height]}
 
@@ -76,6 +80,12 @@ class Torus:
         """Flat index y * width + x of each point's representative cell."""
         xr, yr = _kernels.reduce_points(xs, ys, *self.lattice.hnf)
         return yr * self.width + xr
+
+    def index_bound(self, big_x: int, big_y: int) -> int:
+        """Largest |value| ``index`` computes for |x| <= big_x, |y| <= big_y:
+        |x - k * c| and |k * b| for k = y // b, and the flat index."""
+        a, b, c = self.lattice.hnf
+        return max(big_x + (big_y // b + 1) * c, big_y + b, self.area)
 
     def to_json(self) -> dict:
         return {"lattice": [list(self.lattice.b1), list(self.lattice.b2)]}
@@ -154,11 +164,11 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
                  placements: Sequence[Placement]) -> CoverReport:
     """Coverage multiplicity per region cell; reports gaps and double covers.
 
-    Placed points are materialised a batch at a time: whole placements of
-    one piece, at most ``_BATCH_POINTS`` points (or one placement of a
-    larger piece).  Memory is bounded by the region's count array, not by
-    placements x piece size.  Only when some cell is covered twice does a
-    second walk collect the points on such cells for the overlap records.
+    Placed points are materialised a batch at a time, as x and y arrays:
+    whole placements of one piece, at most ``_BATCH_POINTS`` points (or one
+    placement of a larger piece).  Memory is bounded by the region's count
+    array, not by placements x piece size.  Only when some cell is covered
+    twice does a second walk collect the points and owners on such cells.
     """
     table = piece_map(pieces)
     groups: dict[str, list[int]] = {}
@@ -167,29 +177,39 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
             raise SolverInputError(f"unknown piece {pl.piece!r}")
         groups.setdefault(pl.piece, []).append(i)
 
-    # Per piece: its cells, the offsets of its placements and their ids.
-    # The cells need no order: every report is sorted by cell and owner.
-    shapes = [(np.asarray(list(table[name].cells), dtype=np.int64),
-               np.asarray([placements[i].at for i in pids], dtype=np.int64),
-               np.asarray(pids, dtype=np.int64)) for name, pids in groups.items()]
+    # A torus moves each offset into its fundamental domain, once.
+    at = cell_array(pl.at for pl in placements)
+    if isinstance(region, Torus):
+        at = np.column_stack(_kernels.reduce_points(*at.T, *region.lattice.hnf))
+    far = np.abs(at).max(axis=0, initial=0)
+    big_x, big_y = np.max([far + np.abs(table[name].xy).max(axis=0)
+                           for name in groups] or [far], axis=0).tolist()
+    # Points in int32 when every value region.index computes on them fits.
+    dtype = np.int32 if region.index_bound(big_x, big_y) < 2 ** 31 else np.int64
+    ox, oy = at.T.astype(dtype)
 
-    def batches() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(points, flat cell index, owning placement) of each batch."""
-        for cells, offsets, pids in shapes:
-            step = max(1, _BATCH_POINTS // len(cells))
+    # Per piece: its x and y columns and its placements' ids, in any order.
+    shapes = [(*table[name].xy.T.astype(dtype), np.asarray(pids))
+              for name, pids in groups.items()]
+
+    def batches() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """(x, y, flat cell index, placement ids) of each batch's points."""
+        for cx, cy, pids in shapes:
+            step = max(1, _BATCH_POINTS // len(cx))
             for lo in range(0, len(pids), step):
-                points = (offsets[lo:lo + step, None] + cells).reshape(-1, 2)
-                yield (points, region.index(*points.T),
-                       np.repeat(pids[lo:lo + step], len(cells)))
+                ids = pids[lo:lo + step]
+                xs = (ox[ids, None] + cx).ravel()
+                ys = (oy[ids, None] + cy).ravel()
+                yield xs, ys, region.index(xs, ys), ids
 
     # No cell is covered more often than there are placed points, so the
     # narrowest dtype that holds their number cannot wrap.
-    placed = sum(len(cells) * len(pids) for cells, _, pids in shapes)
+    placed = sum(len(cx) * len(pids) for cx, _, pids in shapes)
     counts = np.zeros(region.area, dtype=np.min_scalar_type(placed))
     outside: list[Cell] = []
-    for points, idx, _ in batches():
+    for xs, ys, idx, _ in batches():
         inside = idx >= 0
-        outside.extend(map(tuple, points[~inside].tolist()))
+        outside.extend(zip(xs[~inside].tolist(), ys[~inside].tolist()))
         _kernels.coverage_counts(idx[inside], counts)
 
     width = region.width
@@ -199,11 +219,11 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
     overlaps: list[tuple[Cell, int, int]] = []
     if counts.max() > 1:
         hot_idx, hot_owner = [], []
-        for _, idx, owner in batches():
+        for xs, _, idx, ids in batches():
             # Index -1 (outside a rectangle) reads the last count; drop it.
             hot = (idx >= 0) & (counts[idx] > 1)
             hot_idx.append(idx[hot])
-            hot_owner.append(owner[hot])
+            hot_owner.append(np.repeat(ids, len(xs) // len(ids))[hot])
         idx, owner = np.concatenate(hot_idx), np.concatenate(hot_owner)
         order = np.lexsort((owner, idx))
         points = zip(idx[order].tolist(), owner[order].tolist())
@@ -250,7 +270,7 @@ def build_universe(region: Region, pieces: Sequence[Polyomino]) -> PlacementUniv
     uni = PlacementUniverse(region, tuple(pieces))
     ry, rx = np.indices((region.height, region.width)).reshape(2, -1)
     for piece in uni.pieces:
-        cells = np.asarray(piece.canonical_cells(), dtype=np.int64)
+        cells = piece.xy
         ox, oy = rx - cells[0, 0], ry - cells[0, 1]
         idx = region.index(ox[:, None] + cells[:, 0], oy[:, None] + cells[:, 1])
         ranked = np.sort(idx, axis=1)
@@ -305,7 +325,7 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
     n_cells = universe.region.area
     cover = universe._cover
     candidates = universe._candidates
-    areas = [len(p.cells) for p in universe.pieces]
+    areas = [len(p) for p in universe.pieces]
     if not _area_reachable(n_cells, areas):
         if mode == "count":
             return 0

@@ -177,6 +177,25 @@ def test_solve_poly(workdir, capsys):
     assert "lattice" in json.loads(tor.read_text())
 
 
+def test_repeated_piece_cells_are_merged(tmp_path):
+    # [0, 0] twice is one cell: no command sees a second one.
+    pieces = tmp_path / "d.json"
+    pieces.write_text(json.dumps([{"name": "d", "cells": [[0, 0], [1, 0], [0, 0]]}]))
+    tiling = tmp_path / "tiling.json"
+    tiling.write_text(json.dumps({"rect": [2, 1],
+                                  "placements": [{"piece": "d", "at": [0, 0]}]}))
+    assert _run("info", pieces, "-o", tmp_path / "info.txt") == 0
+    assert (tmp_path / "info.txt").read_text() == \
+        "d                 2 cells  bbox 2x1 at (0,0)  connected=True\n"
+    assert _run("verify", pieces, tiling, "-o", tmp_path / "report.json") == 0
+    assert json.loads((tmp_path / "report.json").read_text()) == \
+        {"uncovered": [], "overlaps": [], "out_of_region": []}
+    count = tmp_path / "count.txt"
+    assert _run("solve-poly", pieces, "--rect", 4, 1, "--mode", "count",
+                "-o", count) == 0
+    assert count.read_text() == "1\n"
+
+
 def test_solve_poly_deep_first(workdir):
     # 800 levels of search: a recursive search would pass the default
     # recursion limit of Python.
@@ -302,6 +321,10 @@ _INPUT_ERRORS = {
     "render-cell-size-0": ("render --cell-size 0", "pieces", _MONO),
     "render-cell-size-negative": ("render --cell-size -3", "pieces", _MONO),
     "solve-poly-max-nodes-negative": ("solve-poly --max-nodes -1", "pieces", _MONO),
+    # A limit below 1 would end the search before it starts, in any mode.
+    **{f"solve-poly-{mode}-limit-{limit}": (
+        f"solve-poly --mode {mode} --limit {limit}", "pieces", _MONO)
+       for mode in ("first", "count", "enumerate") for limit in (0, -1)},
 }
 
 

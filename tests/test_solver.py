@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polywang import solver
 from polywang.blocks import BlockKind, geometry
-from polywang.geometry import Polyomino, TorusLattice, translate
+from polywang.geometry import COORD_BOUND, Polyomino, TorusLattice, translate
 from polywang.solver import (
     Placement,
     Rectangle,
@@ -321,6 +321,34 @@ def test_check_tiling_piece_wrapped_round_tiny_torus():
     ring = check_tiling(Torus(TorusLattice((2, 0), (0, 1))), (bar3,),
                         [Placement("bar3", (0, 0))])
     assert ring.uncovered == () and ring.overlaps == (((0, 0), 0, 0),)
+
+
+_FAR = COORD_BOUND - 1
+# Pieces and offsets near the coordinate bound: placed points reach 2**32,
+# and on a torus k * c passes 2**31 though the points and the area do not
+# (k = y // b for the lattice's basis (a, 0), (c, b)).
+_FAR_CASES = {
+    "mono-high": ([(0, 2 ** 30)], [(0, 0), (1, 0), (4, -1)]),
+    "mono-corners": ([(_FAR, -_FAR)], [(-_FAR, _FAR), (_FAR, -_FAR), (0, 0),
+                                       (-_FAR, _FAR - 1)]),
+    "bar-east": ([(x, _FAR) for x in range(_FAR - 2, _FAR + 1)],
+                 [(_FAR, _FAR), (2 - _FAR, -_FAR), (-_FAR, 1 - _FAR)]),
+    "bar-north": ([(-_FAR, y) for y in range(-_FAR, 3 - _FAR)],
+                  [(_FAR, _FAR), (_FAR, _FAR - 1), (_FAR - 1, -_FAR)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAR_CASES))
+@pytest.mark.parametrize("region", [
+    Torus(TorusLattice((5, 0), (3, 1))), Torus(TorusLattice((1, 0), (0, 1))),
+    Torus(TorusLattice((2, -1), (1, 3))), Rectangle(3, 2)])
+def test_check_tiling_near_coordinate_bound(region, case):
+    cells, offsets = _FAR_CASES[case]
+    piece = Polyomino(cells, "p")
+    placements = [Placement("p", at) for at in offsets]
+    report = check_tiling(region, (piece,), placements)
+    assert (report.uncovered, report.overlaps, report.out_of_region) == \
+        _cover_oracle(region, (piece,), placements)
 
 
 def test_build_universe_pinned_rows():
