@@ -109,7 +109,7 @@ def assemble(grid: BlockGrid, name: str) -> Polyomino:
             dents.append(dent + shift)
             dent_blocks += [(col, row)] * len(dent)
     xy = np.concatenate(cells + dents)
-    key = xy[:, 1] * (int(np.ptp(xy[:, 0])) + 1) + xy[:, 0]  # one per cell
+    key = xy[:, 1] * (int(np.ptp(xy[:, 0])) + 1) + xy[:, 0]  # distinct per cell
     n = len(xy) - len(dent_blocks)
     taken = np.sort(key[:n])
     twice = taken[1:][taken[1:] == taken[:-1]]

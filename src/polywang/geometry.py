@@ -57,11 +57,11 @@ def bounding_box(cells) -> tuple[int, int, int, int]:
 
 
 def _connected_rows(xy: np.ndarray):
-    """Some cells' distinct (x, y) rows in canonical (y, x) order if they
-    are edge-connected, else None.  They are sorted by row-major keys in
-    their bounding box (no key is formed when a side is as long as the
-    cells are many: they are not connected), and their row runs are merged
-    by union-find with the runs they touch above."""
+    """The distinct cells of non-empty (x, y) rows, in canonical (y, x)
+    order, if they are edge-connected; else None.  They are sorted by
+    row-major keys in their bounding box (none is formed when a side is as
+    long as the rows are many: such cells are not connected), and their row
+    runs are merged by union-find with the runs they touch above."""
     (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
     if max(x1 - x0, y1 - y0) >= len(xy):
         return None
@@ -295,7 +295,7 @@ class Polyomino:
 
     @cached_property
     def cells(self) -> CellSet:
-        return frozenset(zip(*self.xy.T.tolist()))
+        return frozenset(self.canonical_cells())
 
     def __len__(self) -> int:
         return len(self.xy)
