@@ -7,6 +7,7 @@ Exit codes: 0 success / exact cover, 1 unsatisfiable or cover failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from itertools import chain
@@ -51,6 +52,36 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
             bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
 
 
+def _column(values, end: str):
+    """A format for each of ``values`` (at indent ``end``) and the columns
+    of values it reads, if they are all int, all str or all [int, int] lists."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return "%d", [values]
+    if kinds == {str}:
+        return "%s", [list(map(encode_basestring_ascii, values))]
+    if (kinds == {list} and set(map(len, values)) == {2}
+            and set(map(type, chain.from_iterable(values))) == {int}):
+        return f"[{end} %d,{end} %d{end}]", list(zip(*values))  # e.g. a cell
+    return None
+
+
+def _records(dicts: list, end: str):
+    """As _column, for non-empty dicts with the same keys in the same order
+    whose values per key suit _column (e.g. placements); else None."""
+    if (set(map(type, dicts)) != {dict} or not dicts[0]
+            or len(set(map(tuple, dicts))) != 1):
+        return None
+    indent = end + " "
+    fields, columns = [], []
+    for key, values in zip(dicts[0], zip(*map(dict.values, dicts))):
+        if (column := _column(values, indent)) is None:
+            return None
+        fields.append(f"{encode_basestring_ascii(key).replace('%', '%%')}: {column[0]}")
+        columns += column[1]
+    return "{" + indent + f",{indent}".join(fields) + end + "}", columns
+
+
 def _json_text(obj, end: str = "\n") -> str:
     """``json.dumps(obj, indent=1)`` for dicts with str keys, lists, str,
     int, bool and None.  ``end`` is a newline plus obj's own indent."""
@@ -65,10 +96,10 @@ def _json_text(obj, end: str = "\n") -> str:
     if isinstance(obj, dict):
         items = [f"{encode_basestring_ascii(k)}: {_json_text(v, indent)}"
                  for k, v in obj.items()]
-    elif (set(map(type, obj)) == {list} and set(map(len, obj)) == {2}
-          and set(map(type, chain.from_iterable(obj))) == {int}):
-        pair = f"[{indent} %d,{indent} %d{indent}]"  # e.g. a piece's cells
-        items = [f",{indent}".join([pair] * len(obj)) % tuple(chain.from_iterable(obj))]
+    elif rows := _column(obj, indent) or _records(obj, indent):
+        row, columns = rows  # one format string for the whole list
+        items = [f",{indent}".join([row] * len(obj))
+                 % tuple(chain.from_iterable(zip(*columns)))]
     else:
         items = [_json_text(v, indent) for v in obj]
     return opening + indent + f",{indent}".join(items) + end + closing
@@ -251,8 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # A command's many containers form no cycles: the cyclic collector waits
+    # till it returns (and then finds only the parser's few hundred objects).
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -265,6 +300,9 @@ def run(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

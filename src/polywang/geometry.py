@@ -80,7 +80,10 @@ def _connected_rows(xy: np.ndarray):
             i = parent[i]
         return i
 
-    for a, b in set(zip(run[joined].tolist(), run[above[joined]].tolist())):
+    # Row-major cells meet the runs above left to right: repeats are adjacent.
+    lo, hi = run[joined], run[above[joined]]
+    first = (np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0)
+    for a, b in zip(lo[first].tolist(), hi[first].tolist()):
         parent[root(a)] = root(b)
     if sum(i == r for i, r in enumerate(parent)) > 1:
         return None

@@ -209,8 +209,10 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
     outside: list[Cell] = []
     for xs, ys, idx, _ in batches():
         inside = idx >= 0
-        outside.extend(zip(xs[~inside].tolist(), ys[~inside].tolist()))
-        _kernels.coverage_counts(idx[inside], counts)
+        if not inside.all():  # never on a torus
+            outside.extend(zip(xs[~inside].tolist(), ys[~inside].tolist()))
+            idx = idx[inside]
+        _kernels.coverage_counts(idx, counts)
 
     width = region.width
     uncovered = tuple((v % width, v // width)

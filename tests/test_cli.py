@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -66,7 +67,30 @@ _PAIR_LISTS = st.lists(st.lists(st.integers() | st.booleans(), min_size=2,
                                 max_size=2))
 
 
-@given(st.recursive(_JSON_SCALARS | _PAIR_LISTS,
+# Values of one key across a record list: one kind each (these take the
+# one-format path), or kinds mixed with bools, None and short lists.
+_COLUMNS = [st.integers(), _JSON_STRINGS,
+            st.lists(st.integers(), min_size=2, max_size=2),
+            st.integers() | st.booleans() | st.none(),
+            _JSON_STRINGS | st.lists(st.integers(), max_size=3)]
+
+
+@st.composite
+def _record_lists(draw):
+    """Non-empty lists of dicts with the same keys; in some, one dict lists
+    its keys in another order."""
+    keys = draw(st.lists(st.sampled_from(["piece", "at", "%d", "%", '"', "é"])
+                         | _JSON_STRINGS, unique=True, max_size=3))
+    columns = {k: draw(st.sampled_from(_COLUMNS)) for k in keys}
+    rows = draw(st.lists(st.fixed_dictionaries(columns), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        order = draw(st.permutations(keys))
+        rows[rows.index(row)] = {k: row[k] for k in order}
+    return rows
+
+
+@given(st.recursive(_JSON_SCALARS | _PAIR_LISTS | _record_lists(),
                     lambda inner: st.lists(inner, max_size=4)
                     | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
                     max_leaves=20))
@@ -80,9 +104,36 @@ def test_json_text_pins_layout_and_rejects_other_types():
            "e": [2 ** 70, None, "\u00e9"]}
     assert cli._json_text(obj) == json.dumps(obj, indent=1)
     assert cli._json_text([[0, 0]]) == "[\n [\n  0,\n  0\n ]\n]"
+    records = [{"%s": "%d", "at": [1, -2]}, {"%s": "\u00e9", "at": [0, 3]}]
+    reordered = [{"a": 1, "b": 2}, {"b": 3, "a": 4}]
+    for obj in (records, reordered):
+        assert cli._json_text(obj) == json.dumps(obj, indent=1)
+    assert cli._json_text(records[:1]) == \
+        '[\n {\n  "%s": "%d",\n  "at": [\n   1,\n   -2\n  ]\n }\n]'
     for bad in (0.5, (1, 2), {1: 2}, [[0, 0], [0, 0.5]]):
         with pytest.raises(TypeError):
             cli._json_text(bad)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_collector_as_found(tmp_path, enabled):
+    pieces = tmp_path / "mono.json"
+    pieces.write_text(json.dumps(_MONO))
+    commands = [(("info", pieces, "-o", tmp_path / "info.txt"), 0),
+                (("verify", pieces, tmp_path / "missing.json"), 2),
+                (("solve-poly", pieces, "--rect", 2, 1, "--mode", "count",
+                  "--max-nodes", 0), 3)]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, code in commands:
+            assert _run(*argv) == code
+            assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            _run("no-such-command")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_piece_file_round_trip_identical(workdir):
@@ -314,6 +365,18 @@ _INPUT_ERRORS = {
            "p-string": {"p": "1", "cells": [0]},
            # A valid 3x1 torus but for the flag, which must be a JSON bool.
            "torus-string": {"p": 3, "torus": "no", "cells": [0, 1, 2]}}.items()},
+    **{f"{cmd}-{name}": (cmd, "tiling", {"rect": [1, 1], "placements": bad})
+       for cmd in ("verify", "render-tiling")
+       for name, bad in {
+           **{f"at-{kind}": [{"piece": "m", "at": at}]
+              for kind, at in {"bool": [True, 0], "float": [0.0, 0],
+                               "2-to-31": [2 ** 31, 0], "triple": [0, 0, 0],
+                               "object": {"x": 0}}.items()},
+           "at-missing": [{"piece": "m"}],
+           "piece-number": [{"piece": 5, "at": [0, 0]}],
+           "placement-string": ["m"],
+           "placements-number": 5,
+           "piece-unknown": [{"piece": "q", "at": [0, 0]}]}.items()},
     "compile-label-list": ("compile", "wang_set", _BAD_LABEL_SET),
     "solve-wang-label-list": ("solve-wang", "wang_set", _BAD_LABEL_SET),
     "simulate-one-tile-one-color": ("simulate", "wang_set", _ONE_TILE_SET),
