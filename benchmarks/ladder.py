@@ -4,11 +4,13 @@
     python benchmarks/ladder.py --large    # also the 49.2M-cell rung
 
 A rung compiles a Wang set of n tiles over 2**t colours, emits the
-placements of its self-matching tile on a p x p torus and verifies them
-with ``check_tiling``.  Each rung runs in a fresh Python process, so its
-``ru_maxrss`` is that rung's own peak; the peak after emit is recorded too,
-so that verify's share shows.  The run (git SHA, versions, rungs) is
-appended to BENCH_ladder.json at the root of the checkout, or to --out.
+placements of its self-matching tile on a p x p torus, verifies them with
+``check_tiling`` and renders the seven pieces.  Each rung runs REPEATS
+times, each in a fresh Python process, so its ``ru_maxrss`` is that run's
+own peak; the peak after emit is recorded too, so that verify's share
+shows.  Each measure is recorded as the median of the repeats, with their
+[min, max] under ``<measure>_range``.  The run (git SHA, versions, rungs)
+is appended to BENCH_ladder.json at the root of the checkout, or to --out.
 The polywang measured is the one in this checkout's ``src/``.
 """
 
@@ -18,6 +20,7 @@ import argparse
 import json
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -27,6 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # (n, t, p): 2400 * n * (t + 1) * p * p quotient cells
 RUNGS = ((3, 2, 3), (4, 3, 6), (8, 4, 8))
 LARGE_RUNG = (16, 4, 16)
+REPEATS = 3
+MEASURES = ("compile_s", "emit_s", "verify_s", "render_s",
+            "peak_rss_after_emit_mb", "peak_rss_mb")
 
 
 def _peak_mb() -> float:
@@ -34,9 +40,10 @@ def _peak_mb() -> float:
 
 
 def run_rung(n: int, t: int, p: int) -> dict:
-    """Compile, emit and verify one rung in this process."""
+    """Compile, emit, verify and render one rung in this process."""
     sys.path.insert(0, str(ROOT / "src"))
     from polywang.compiler import compile_pieces
+    from polywang.render import RenderSpec, render_svg
     from polywang.simulate import emit_placements
     from polywang.solver import Torus, check_tiling
     from polywang.wang import WangTileSet, WangTiling
@@ -58,6 +65,8 @@ def run_rung(n: int, t: int, p: int) -> dict:
     region = Torus(sim.lattice)
     report = check_tiling(region, pieces.pieces, sim.placements)
     verified = time.perf_counter()
+    render_svg(RenderSpec(), pieces.pieces)
+    rendered = time.perf_counter()
     return {
         "n": n, "t": t, "torus": [p, p],
         "quotient_cells": region.area,
@@ -66,6 +75,7 @@ def run_rung(n: int, t: int, p: int) -> dict:
         "compile_s": round(compiled - start, 3),
         "emit_s": round(emitted - compiled, 3),
         "verify_s": round(verified - emitted, 3),
+        "render_s": round(rendered - verified, 3),
         "peak_rss_after_emit_mb": round(emit_peak, 1),
         "peak_rss_mb": round(_peak_mb(), 1),
     }
@@ -98,13 +108,21 @@ def main(argv: list[str] | None = None) -> int:
         "rungs": [],
     }
     for rung in RUNGS + ((LARGE_RUNG,) if args.large else ()):
-        proc = subprocess.run(
-            [sys.executable, __file__, "--rung", ",".join(map(str, rung))],
-            capture_output=True, text=True)
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr)
-            return 1
-        result = json.loads(proc.stdout.splitlines()[-1])
+        results = []
+        for _ in range(REPEATS):
+            proc = subprocess.run(
+                [sys.executable, __file__, "--rung", ",".join(map(str, rung))],
+                capture_output=True, text=True)
+            if proc.returncode != 0:
+                sys.stderr.write(proc.stderr)
+                return 1
+            results.append(json.loads(proc.stdout.splitlines()[-1]))
+        result = {k: v for k, v in results[0].items() if k not in MEASURES}
+        result["repeats"] = REPEATS
+        for k in MEASURES:
+            values = sorted(r[k] for r in results)
+            result[k] = statistics.median(values)
+            result[k + "_range"] = [values[0], values[-1]]
         print(json.dumps(result))
         run["rungs"].append(result)
     runs = json.loads(args.out.read_text()) if args.out.exists() else []

@@ -1,9 +1,10 @@
 """Deterministic SVG rendering of piece sets and tilings.
 
-Each distinct piece is traced once, as one closed path along its cell
-boundary (outer loops and holes, even-odd fill) under ``<defs>``; each
-placement is one ``<use>`` of that path at its offset.  Stored data keeps y
-growing north; the y-flip into SVG screen coordinates happens only here.
+Each distinct piece is traced once from its cell array, as one closed path
+through the corners of its boundary loops (outer loops and holes, even-odd
+fill) under ``<defs>``; each placement is one ``<use>`` of that path at its
+offset.  Stored data keeps y growing north; the y-flip into SVG screen
+coordinates happens only here.
 """
 
 from __future__ import annotations
@@ -11,9 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import Cell, CellSet, Polyomino, bounding_box
+import numpy as np
+
+from .geometry import Cell, Polyomino, bounding_box, cell_array
 from .solver import Placement, piece_map
 
+# A larger grid is a resource limit (a 16 x 16 tiling of 16-tile pieces has 53,830).
+MAX_GRID_LINES = 10 ** 6
 PALETTE = ("#7b52ab", "#e8833a", "#3a7bd5", "#4caf50",
            "#d54a3a", "#c2a83e", "#5bb8b4")
 
@@ -32,73 +37,65 @@ class RenderSpec:
             raise RenderError(f"cell size must be at least 1, not {self.cell_size}")
 
 
-def boundary_loops(cells: CellSet) -> list[list[Cell]]:
-    """Closed boundary loops of a cell set, interior kept on the left.
-
-    Outer loops come out counterclockwise and holes clockwise, so signed
-    loop areas sum to the cell count.
-    """
-    cells = frozenset(cells)
-    edges: dict[Cell, list[Cell]] = {}
-
-    def add(a: Cell, b: Cell):
-        edges.setdefault(a, []).append(b)
-
-    for x, y in cells:
-        if (x, y - 1) not in cells:
-            add((x, y), (x + 1, y))
-        if (x + 1, y) not in cells:
-            add((x + 1, y), (x + 1, y + 1))
-        if (x, y + 1) not in cells:
-            add((x + 1, y + 1), (x, y + 1))
-        if (x - 1, y) not in cells:
-            add((x, y + 1), (x, y))
-    for v in edges.values():
-        v.sort()
-
-    loops = []
-    while edges:
-        start = min(edges)
-        loop = [start]
-        prev = None
-        cur = start
-        while True:
-            outs = edges[cur]
-            if len(outs) == 1 or prev is None:
-                nxt = outs.pop(0)
-            else:
-                # Checkerboard corner: turn left (interior on the left).
-                din = (cur[0] - prev[0], cur[1] - prev[1])
-                left = (-din[1], din[0])
-                want = (cur[0] + left[0], cur[1] + left[1])
-                nxt = outs.pop(outs.index(want))
-            if not outs:
-                del edges[cur]
-            prev, cur = cur, nxt
-            if cur == start:
-                break
-            loop.append(cur)
-        loops.append(loop)
+def boundary_loops(cells) -> list[list[Cell]]:
+    """The corners of each boundary loop of a cell set (an int64 (k, 2)
+    array or an iterable of cells; a repeated cell counts once), interior
+    on the left: outer loops counterclockwise and holes clockwise, so signed
+    loop areas sum to the cell count.  Loops come in order of their least
+    corner and start there; at a checkerboard corner a loop turns left."""
+    xy = cell_array(cells)
+    if not len(xy):
+        return []
+    # Distinct cells in column (x, y) order, and their row (y, x) order: a
+    # cell's neighbour above (right) is the next cell in column (row) order.
+    x, y = xy[np.lexsort((xy[:, 1], xy[:, 0]))].T
+    keep = np.r_[True, (np.diff(x) != 0) | (np.diff(y) != 0)]
+    x, y = x[keep], y[keep]
+    row = np.lexsort((x, y))
+    up = (np.diff(x) == 0) & (np.diff(y) == 1)
+    right = (np.diff(y[row]) == 0) & (np.diff(x[row]) == 1)
+    # Bare sides heading east (bottom), north (right), west (top) and south
+    # (left), d = 0..3, cut into maximal straight runs from a to b along a
+    # line (a cell's right and top sides lie on lines x + 1 and y + 1).
+    bare = np.ones((4, len(x)), bool)
+    bare[0, 1:] = bare[2, :-1] = ~up
+    bare[1, row[:-1][right]] = bare[3, row[1:][right]] = False
+    runs = []
+    for d in range(4):
+        i = row[bare[d, row]] if d % 2 == 0 else np.flatnonzero(bare[d])
+        line, pos = (y[i], x[i]) if d % 2 == 0 else (x[i], y[i])
+        cut = np.flatnonzero((np.diff(line) != 0) | (np.diff(pos) != 1)) + 1
+        first, last = np.r_[0, cut], np.r_[cut - 1, len(pos) - 1]
+        line, a, b = line[first] + (d in (1, 2)), pos[first], pos[last] + 1
+        a, b = (a, b) if d < 2 else (b, a)
+        ends = (a, line, b, line) if d % 2 == 0 else (line, a, line, b)
+        runs.append((*ends, np.full(len(a), d)))
+    sx, sy, ex, ey, heading = map(np.concatenate, zip(*runs))
+    # A corner pairs the runs ending there with those starting there; at a
+    # checkerboard corner (two of each) a run heading d turns left, to d + 1.
+    by_start = np.lexsort((heading, sy, sx))
+    succ = np.empty_like(heading)
+    succ[np.lexsort(((heading + 1) % 4, ey, ex))] = by_start
+    # Each loop is walked from its least corner.  A loop leaving a
+    # checkerboard corner other than eastwards passes a lesser corner, so it
+    # is walked before any loop can start there.
+    corners, succ = list(zip(sx.tolist(), sy.tolist())), succ.tolist()
+    loops, seen = [], [False] * len(succ)
+    for r in by_start.tolist():
+        loop = []
+        while not seen[r]:
+            seen[r] = True
+            loop.append(corners[r])
+            r = succ[r]
+        if loop:
+            loops.append(loop)
     return loops
 
 
-def _collinear_pruned(loop: list[Cell]) -> list[Cell]:
-    out = []
-    k = len(loop)
-    for i, p in enumerate(loop):
-        a, b = loop[i - 1], loop[(i + 1) % k]
-        if (b[0] - a[0]) * (p[1] - a[1]) != (b[1] - a[1]) * (p[0] - a[0]):
-            out.append(p)
-    return out
-
-
-def path_data(cells: CellSet, scale: int, flip_y: int) -> str:
-    parts = []
-    for loop in boundary_loops(cells):
-        pts = _collinear_pruned(loop)
-        coords = [f"{x * scale},{(flip_y - y) * scale}" for x, y in pts]
-        parts.append("M" + "L".join(coords) + "Z")
-    return "".join(parts)
+def path_data(cells, scale: int, flip_y: int) -> str:
+    return "".join("M" + "L".join(f"{x * scale},{(flip_y - y) * scale}"
+                                  for x, y in loop) + "Z"
+                   for loop in boundary_loops(cells))
 
 
 def render_svg(spec: RenderSpec, payload: Sequence[Polyomino] | Sequence[Placement],
@@ -135,6 +132,8 @@ def render_svg(spec: RenderSpec, payload: Sequence[Polyomino] | Sequence[Placeme
     y0 = min(boxes[k][1] + ay for k, (_, ay) in entries)
     x1 = max(boxes[k][2] + ax for k, (ax, _) in entries)
     y1 = max(boxes[k][3] + ay for k, (_, ay) in entries)
+    if spec.grid and (n := (x1 - x0 + 1) + (y1 - y0 + 1)) > MAX_GRID_LINES:
+        raise MemoryError(f"a grid of {n} lines is over the limit of {MAX_GRID_LINES}")
     w, h = (x1 - x0 + 2) * s, (y1 - y0 + 2) * s
     flip = y1 + 1  # top margin of one cell after the flip
     lines = [
@@ -143,7 +142,7 @@ def render_svg(spec: RenderSpec, payload: Sequence[Polyomino] | Sequence[Placeme
         "<defs>",
     ]
     for k, piece in enumerate(shapes):
-        lines.append(f'<path id="p{k}" d="{path_data(piece.cells, s, 0)}" '
+        lines.append(f'<path id="p{k}" d="{path_data(piece.xy, s, 0)}" '
                      f'fill="{PALETTE[k % len(PALETTE)]}" fill-rule="evenodd" '
                      f'stroke="#222" stroke-width="0.5"/>')
     lines.append("</defs>")

@@ -315,6 +315,38 @@ def test_render_rect_tiling(workdir):
     assert svg.read_text().count("<use") == 3
 
 
+# The render of two monominoes 2**32 cells apart, byte for byte.
+_FAR_APART_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="17179869188" height="12" \
+viewBox="-8589934592 0 17179869188 12">
+<defs>
+<path id="p0" d="M0,0L4,0L4,-4L0,-4Z" fill="#7b52ab" fill-rule="evenodd" \
+stroke="#222" stroke-width="0.5"/>
+</defs>
+<use href="#p0" x="-8589934588" y="8"/>
+<use href="#p0" x="8589934588" y="8"/>
+</svg>
+"""
+
+
+def test_render_grid_too_large_is_resource_limit(tmp_path, capsys):
+    pieces = tmp_path / "mono.json"
+    pieces.write_text(json.dumps([{"name": "m", "cells": [[0, 0]]}]))
+    tiling = tmp_path / "far.json"
+    tiling.write_text(json.dumps({"rect": [1, 1], "placements": [
+        {"piece": "m", "at": [-(2 ** 31 - 1), 0]},
+        {"piece": "m", "at": [2 ** 31 - 1, 0]}]}))
+    svg = tmp_path / "far.svg"
+    capsys.readouterr()
+    # 2**32 vertical and 2 horizontal lines: refused before any is drawn.
+    assert _run("render", tiling, "--pieces", pieces, "--grid", "-o", svg) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "4294967298 lines" in err
+    assert not svg.exists()
+    assert _run("render", tiling, "--pieces", pieces, "-o", svg) == 0
+    assert svg.read_text() == _FAR_APART_SVG
+
+
 def test_module_entry_point(workdir):
     src = Path(polywang.__file__).resolve().parent.parent
     out = workdir / "module_pieces.json"

@@ -1,15 +1,113 @@
+import hashlib
+import json
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polywang.blocks import BlockKind, block_cells
+from polywang.compiler import compile_pieces
 from polywang.render import (PALETTE, RenderSpec, RenderError, boundary_loops,
                              path_data, render_svg)
 from polywang.simulate import emit_placements
 from polywang.geometry import Polyomino, bounding_box, translate
+from polywang.wang import WangTileSet, solve_torus
 
 SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _unit_edge_loops(cells):
+    """Boundary loops through every unit-edge vertex, walked edge by edge on
+    a set: the oracle for boundary_loops once collinear vertices are gone."""
+    cells = frozenset(cells)
+    edges = {}
+
+    def add(a, b):
+        edges.setdefault(a, []).append(b)
+
+    for x, y in cells:
+        if (x, y - 1) not in cells:
+            add((x, y), (x + 1, y))
+        if (x + 1, y) not in cells:
+            add((x + 1, y), (x + 1, y + 1))
+        if (x, y + 1) not in cells:
+            add((x + 1, y + 1), (x, y + 1))
+        if (x - 1, y) not in cells:
+            add((x, y + 1), (x, y))
+    for v in edges.values():
+        v.sort()
+
+    loops = []
+    while edges:
+        start = min(edges)
+        loop = [start]
+        prev = None
+        cur = start
+        while True:
+            outs = edges[cur]
+            if len(outs) == 1 or prev is None:
+                nxt = outs.pop(0)
+            else:
+                # Checkerboard corner: turn left (interior on the left).
+                din = (cur[0] - prev[0], cur[1] - prev[1])
+                left = (-din[1], din[0])
+                want = (cur[0] + left[0], cur[1] + left[1])
+                nxt = outs.pop(outs.index(want))
+            if not outs:
+                del edges[cur]
+            prev, cur = cur, nxt
+            if cur == start:
+                break
+            loop.append(cur)
+        loops.append(loop)
+    return loops
+
+
+def _oracle_corners(cells):
+    """The oracle's loops less every vertex between collinear neighbours."""
+    out = []
+    for loop in _unit_edge_loops(cells):
+        corners, k = [], len(loop)
+        for i, p in enumerate(loop):
+            a, b = loop[i - 1], loop[(i + 1) % k]
+            if (b[0] - a[0]) * (p[1] - a[1]) != (b[1] - a[1]) * (p[0] - a[0]):
+                corners.append(p)
+        out.append(corners)
+    return out
+
+
+_NEAR_BOUND = 2 ** 31 - 1
+
+
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=80),
+       st.tuples(*[st.integers(-50, 50)
+                   | st.integers(-_NEAR_BOUND, -_NEAR_BOUND + 3)
+                   | st.integers(_NEAR_BOUND - 10, _NEAR_BOUND - 7)] * 2))
+@example([(0, 0), (1, 1)], (0, 0))  # checkerboard pair
+@example([(x, y) for x in range(3) for y in range(3)  # ring with a hole
+          if (x, y) != (1, 1)], (0, 0))
+@example([(0, 0), (2, 0)], (0, 0))  # two components
+@example([(0, 0)], (0, 0))
+@settings(max_examples=400, deadline=None)
+def test_corner_loops_match_unit_edge_walk(cells, offset):
+    # Random subsets of an 8 x 8 grid, repeats included, moved by small
+    # offsets or next to +-(2**31 - 1).
+    moved = [(x + offset[0], y + offset[1]) for x, y in cells]
+    expected = _oracle_corners(moved)
+    assert boundary_loops(np.array(moved, np.int64).reshape(-1, 2)) == expected
+    assert boundary_loops(frozenset(moved)) == expected
+
+
+def test_corner_loops_match_unit_edge_walk_on_blocks_and_pieces(three_tile_pieces):
+    for kind in BlockKind:
+        cells = block_cells(kind)
+        assert boundary_loops(cells) == _oracle_corners(cells), kind
+    for piece in three_tile_pieces.pieces:
+        assert boundary_loops(piece.xy) == _oracle_corners(piece.cells), piece.name
 
 
 def _signed_area(loop):
@@ -103,3 +201,22 @@ def test_piece_set_uses_expand_to_row_layout(three_tile_pieces):
     svg = render_svg(RenderSpec(cell_size=3), three_tile_pieces.pieces)
     assert _drawn(svg) == (_traced(placed, 3), 7)
 
+
+
+def test_render_output_pinned():
+    # sha256 of render_svg bytes for data/three_tile_set.json, as the
+    # unit-edge tracer wrote them.
+    data = Path(__file__).resolve().parent.parent / "data" / "three_tile_set.json"
+    tileset = WangTileSet.from_json(json.loads(data.read_text()))
+    pieces = compile_pieces(tileset).pieces
+    sim = emit_placements(tileset, solve_torus(tileset, 3, 1, "first"))
+    cases = [
+        (render_svg(RenderSpec(), pieces),
+         "1d5ef2b2f291ce051837c894c45a105e57ced7a99d66ab70c4980b77c2be762c"),
+        (render_svg(RenderSpec(cell_size=2), sim.placements, pieces),
+         "ff56b4f1944c3f264d4cbe35cb1f9b5c60125e7e267259f9852e1bcbcad141bc"),
+        (render_svg(RenderSpec(cell_size=2, grid=True), sim.placements, pieces),
+         "702aee93559a61698ac35a98b3d8c619750baf4f086403b333108294bdc4e09b"),
+    ]
+    for svg, digest in cases:
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
