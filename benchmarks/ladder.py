@@ -5,13 +5,18 @@
 
 A rung compiles a Wang set of n tiles over 2**t colours, emits the
 placements of its self-matching tile on a p x p torus, verifies them with
-``check_tiling`` and renders the seven pieces.  Each rung runs REPEATS
-times, each in a fresh Python process, so its ``ru_maxrss`` is that run's
-own peak; the peak after emit is recorded too, so that verify's share
-shows.  Each measure is recorded as the median of the repeats, with their
-[min, max] under ``<measure>_range``.  The run (git SHA, versions, rungs)
-is appended to BENCH_ladder.json at the root of the checkout, or to --out.
-The polywang measured is the one in this checkout's ``src/``.
+``check_tiling`` and renders the seven pieces.  Then it runs the same
+pipeline through ``cli.run`` on files in a temporary directory (compile,
+simulate, verify and the render of the tiling), so the reading and writing
+of JSON and SVG shows too (``cli_*_s``).  Each rung runs REPEATS times,
+each in a fresh Python process, so its ``ru_maxrss`` is that run's own
+peak: the peak after emit and the one before the CLI stages
+(``peak_rss_mb``) are recorded, so that verify's share shows, and
+``cli_peak_rss_mb`` is the peak at the end.  Each measure is recorded as
+the median of the repeats, with their [min, max] under ``<measure>_range``.
+The run (git SHA, versions, rungs) is appended to BENCH_ladder.json at the
+root of the checkout, or to --out.  The polywang measured is the one in
+this checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -32,7 +38,8 @@ RUNGS = ((3, 2, 3), (4, 3, 6), (8, 4, 8))
 LARGE_RUNG = (16, 4, 16)
 REPEATS = 3
 MEASURES = ("compile_s", "emit_s", "verify_s", "render_s",
-            "peak_rss_after_emit_mb", "peak_rss_mb")
+            "peak_rss_after_emit_mb", "peak_rss_mb", "cli_compile_s",
+            "cli_simulate_s", "cli_verify_s", "cli_render_s", "cli_peak_rss_mb")
 
 
 def _peak_mb() -> float:
@@ -40,7 +47,8 @@ def _peak_mb() -> float:
 
 
 def run_rung(n: int, t: int, p: int) -> dict:
-    """Compile, emit, verify and render one rung in this process."""
+    """Compile, emit, verify and render one rung in this process, through
+    the library and then through the command line."""
     sys.path.insert(0, str(ROOT / "src"))
     from polywang.compiler import compile_pieces
     from polywang.render import RenderSpec, render_svg
@@ -67,6 +75,9 @@ def run_rung(n: int, t: int, p: int) -> dict:
     verified = time.perf_counter()
     render_svg(RenderSpec(), pieces.pieces)
     rendered = time.perf_counter()
+    library_peak = _peak_mb()
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_times = run_cli_stages(Path(tmp), tileset.to_json(), tiling.to_json())
     return {
         "n": n, "t": t, "torus": [p, p],
         "quotient_cells": region.area,
@@ -77,8 +88,34 @@ def run_rung(n: int, t: int, p: int) -> dict:
         "verify_s": round(verified - emitted, 3),
         "render_s": round(rendered - verified, 3),
         "peak_rss_after_emit_mb": round(emit_peak, 1),
-        "peak_rss_mb": round(_peak_mb(), 1),
+        "peak_rss_mb": round(library_peak, 1),
+        **cli_times,
+        "cli_peak_rss_mb": round(_peak_mb(), 1),
     }
+
+
+def run_cli_stages(d: Path, wang_set: dict, tiling: dict) -> dict:
+    """Seconds of each ``polywang`` command of the pipeline on files in d."""
+    from polywang import cli
+
+    (d / "wang.json").write_text(json.dumps(wang_set))
+    (d / "tiling.json").write_text(json.dumps(tiling))
+    stages = {
+        "cli_compile_s": ["compile", "wang.json", "-o", "pieces.json"],
+        "cli_simulate_s": ["simulate", "wang.json", "tiling.json", "-o", "sim.json"],
+        "cli_verify_s": ["verify", "pieces.json", "sim.json", "-o", "report.json"],
+        "cli_render_s": ["render", "sim.json", "--pieces", "pieces.json",
+                         "-o", "tiling.svg"],
+    }
+    times = {}
+    for name, argv in stages.items():
+        start = time.perf_counter()
+        code = cli.run([str(d / a) if a.endswith((".json", ".svg")) else a
+                        for a in argv])
+        times[name] = round(time.perf_counter() - start, 3)
+        if code != 0:
+            raise RuntimeError(f"{argv[0]} exited with {code}")
+    return times
 
 
 def _git(*args: str) -> subprocess.CompletedProcess:

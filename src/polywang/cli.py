@@ -169,9 +169,8 @@ def _load_polyominoes(path: str):
     return tuple(map(Polyomino.from_json, entries))
 
 
-def _tiling_json(region: solver.Region, placements) -> dict:
-    return {"placements": [pl.to_json() for pl in placements],
-            **region.to_json()}
+def _tiling_json(region: solver.Region, tiling) -> dict:
+    return {"placements": solver.Placements.of(tiling).to_json(), **region.to_json()}
 
 
 def cmd_simulate(args) -> int:
@@ -182,10 +181,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _placements(obj: dict) -> list[solver.Placement]:
+def _placements(obj: dict) -> solver.Placements:
     if not isinstance(obj["placements"], list):
         raise CliError("'placements' must be a list")
-    return [solver.Placement.from_json(p) for p in obj["placements"]]
+    return solver.Placements.from_json(obj["placements"])
 
 
 def cmd_verify(args) -> int:

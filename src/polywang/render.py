@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Cell, Polyomino, bounding_box, cell_array
-from .solver import Placement, piece_map
+from .solver import Placement, Placements, piece_map
 
 # A larger grid is a resource limit (a 16 x 16 tiling of 16-tile pieces has 53,830).
 MAX_GRID_LINES = 10 ** 6
@@ -98,7 +98,7 @@ def path_data(cells, scale: int, flip_y: int) -> str:
                    for loop in boundary_loops(cells))
 
 
-def render_svg(spec: RenderSpec, payload: Sequence[Polyomino] | Sequence[Placement],
+def render_svg(spec: RenderSpec, payload: Sequence[Polyomino | Placement] | Placements,
                pieces: Sequence[Polyomino] | None = None) -> str:
     """SVG document for a list of pieces (laid out in a row) or of placements.
 
@@ -106,32 +106,26 @@ def render_svg(spec: RenderSpec, payload: Sequence[Polyomino] | Sequence[Placeme
     a rectangle renders like the placements of a torus tiling.
     """
     s = spec.cell_size
-    items = list(payload)
-    if not items:
+    if not len(payload):
         raise RenderError("empty payload")
-    # Both payloads become shapes plus (shape index, offset) entries.
-    if isinstance(items[0], Placement):
+    # Both payloads become shapes plus a shape index and an offset per entry.
+    if isinstance(payload, Placements) or isinstance(payload[0], Placement):
         if pieces is None:
             raise RenderError("tiling rendering needs the piece set")
         shapes = sorted(piece_map(pieces).values(), key=lambda p: p.name)
         rank = {p.name: k for k, p in enumerate(shapes)}
-        entries = []
-        for pl in items:
-            if pl.piece not in rank:
-                raise RenderError(f"unknown piece {pl.piece!r}")
-            entries.append((rank[pl.piece], pl.at))
-    else:
-        shapes, entries, cursor = items, [], 0
-        for k, piece in enumerate(items):
-            x0, y0, x1, _ = bounding_box(piece.xy)
-            entries.append((k, (cursor - x0, -y0)))
-            cursor += (x1 - x0) + 2
+        payload = Placements.of(payload)
+        if unknown := [name for name in payload.names if name not in rank]:
+            raise RenderError(f"unknown piece {unknown[0]!r}")
+        shape, at = np.take([rank[n] for n in payload.names], payload.piece), payload.at
+    else:  # in a row, each piece's box two cells right of the last one's
+        shapes, shape = payload, np.arange(len(payload))
+        x0, y0, x1, _ = np.array([bounding_box(p.xy) for p in shapes]).T
+        at = np.column_stack((np.cumsum(x1 - x0 + 2) - x1 - 2, -y0))
 
-    boxes = [bounding_box(p.xy) for p in shapes]
-    x0 = min(boxes[k][0] + ax for k, (ax, _) in entries)
-    y0 = min(boxes[k][1] + ay for k, (_, ay) in entries)
-    x1 = max(boxes[k][2] + ax for k, (ax, _) in entries)
-    y1 = max(boxes[k][3] + ay for k, (_, ay) in entries)
+    boxes = np.array([bounding_box(p.xy) for p in shapes])[shape]
+    x0, y0 = (boxes[:, :2] + at).min(axis=0).tolist()
+    x1, y1 = (boxes[:, 2:] + at).max(axis=0).tolist()
     if spec.grid and (n := (x1 - x0 + 1) + (y1 - y0 + 1)) > MAX_GRID_LINES:
         raise MemoryError(f"a grid of {n} lines is over the limit of {MAX_GRID_LINES}")
     w, h = (x1 - x0 + 2) * s, (y1 - y0 + 2) * s
@@ -146,8 +140,9 @@ def render_svg(spec: RenderSpec, payload: Sequence[Polyomino] | Sequence[Placeme
                      f'fill="{PALETTE[k % len(PALETTE)]}" fill-rule="evenodd" '
                      f'stroke="#222" stroke-width="0.5"/>')
     lines.append("</defs>")
-    for k, (ax, ay) in entries:
-        lines.append(f'<use href="#p{k}" x="{ax * s}" y="{(flip - ay) * s}"/>')
+    ax, ay = at[:, 0].tolist(), (flip - at[:, 1]).tolist()
+    lines += map('<use href="#p{}" x="{}" y="{}"/>'.format, shape.tolist(),
+                 map(s.__mul__, ax), map(s.__mul__, ay))
     if spec.grid:
         for gx in range(x0, x1 + 1):
             lines.append(f'<line x1="{gx * s}" y1="{(flip - y1) * s}" '

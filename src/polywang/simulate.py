@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import _kernels
 from .blocks import BLOCK, CANONICAL_OFFSETS
 from .compiler import (
     LINKER_PIECE,
@@ -22,10 +25,8 @@ from .compiler import (
     require_supported,
 )
 from .geometry import TorusLattice, Vec
-from .solver import Placement, Torus
+from .solver import Placements, Torus
 from .wang import WangInputError, WangTileSet, WangTiling, validate
-
-PIECE_ORDER = {name: i for i, name in enumerate(PIECE_NAMES)}
 
 
 def wang_cell_to_diamond(a: int, b: int) -> tuple[int, int]:
@@ -69,16 +70,16 @@ class PatternLattice:
 @dataclass(frozen=True)
 class SimulatedTiling:
     lattice: TorusLattice
-    placements: tuple[Placement, ...]
+    placements: Placements
 
     def to_json(self) -> dict:
         return {**Torus(self.lattice).to_json(),
-                "placements": [pl.to_json() for pl in self.placements]}
+                "placements": self.placements.to_json()}
 
 
-def _tile_templates(tileset: WangTileSet) -> list[list[tuple[str, int, int]]]:
-    """Each tile's placements as (piece, dx, dy) in units from the connector
-    origin of a Wang cell holding it."""
+def _tile_templates(tileset: WangTileSet) -> np.ndarray:
+    """Each tile's placements, equally many per tile, as (PIECE_NAMES index,
+    dx, dy) in units from the connector origin of a Wang cell holding it."""
     n, t = tileset.n, tileset.t
     width = encoder_width(tileset)
     half = PatternLattice(n, t).period // 2
@@ -87,7 +88,7 @@ def _tile_templates(tileset: WangTileSet) -> list[list[tuple[str, int, int]]]:
              if (kind := encoder_block_at(tileset, col, row)) in LINKER_PIECE]
 
     def at(piece: str, col: int, row: int, unit: Vec = (0, 0)):
-        return (piece, BLOCK * col + unit[0], BLOCK * row + unit[1])
+        return (PIECE_NAMES.index(piece), BLOCK * col + unit[0], BLOCK * row + unit[1])
 
     templates = []
     for i, tile in enumerate(tileset.tiles):
@@ -106,7 +107,7 @@ def _tile_templates(tileset: WangTileSet) -> list[list[tuple[str, int, int]]]:
         out += [at("t_filler", ex + col, 3 + row, CANONICAL_OFFSETS[kind])
                 for col, row, kind in slots if col % (2 * n) != 2 * i]
         templates.append(out)
-    return templates
+    return np.array(templates)
 
 
 def emit_placements(tileset: WangTileSet, tiling: WangTiling) -> SimulatedTiling:
@@ -118,16 +119,15 @@ def emit_placements(tileset: WangTileSet, tiling: WangTiling) -> SimulatedTiling
         raise WangInputError("input Wang tiling has violations")
     pat = PatternLattice(tileset.n, tileset.t)
     lat = pat.torus_lattice(tiling.p, tiling.q)
-    templates = _tile_templates(tileset)
-    placements = []
-    for b in range(tiling.q):
-        for a in range(tiling.p):
-            kx, ky = pat.connector_origin(*wang_cell_to_diamond(a, b))
-            x0, y0 = BLOCK * kx, BLOCK * ky
-            placements += [Placement(piece, lat.reduce((x0 + dx, y0 + dy)))
-                           for piece, dx, dy in templates[tiling.at(a, b)]]
-    placements.sort(key=lambda pl: (PIECE_ORDER[pl.piece], pl.at[1], pl.at[0]))
-    return SimulatedTiling(lat, tuple(placements))
+    b, a = np.indices((tiling.q, tiling.p)).reshape(2, -1)
+    kx, ky = np.multiply(BLOCK, pat.connector_origin(*wang_cell_to_diamond(a, b)))
+    # Each Wang cell's tile template: (piece, dx, dy) rows from its connector.
+    piece, dx, dy = _tile_templates(tileset)[list(tiling.cells)].T
+    x, y = _kernels.reduce_points((dx + kx).ravel(), (dy + ky).ravel(), *lat.hnf)
+    order = np.lexsort((x, y, piece.ravel()))
+    used, piece = np.unique(piece.ravel()[order], return_inverse=True)
+    return SimulatedTiling(lat, Placements([PIECE_NAMES[i] for i in used], piece,
+                                           np.column_stack((x, y))[order]))
 
 
 def expected_placements_per_cell(n: int, t: int) -> int:

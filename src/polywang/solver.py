@@ -9,14 +9,14 @@ for simulator output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, groupby, islice
-from typing import Iterable, Iterator, Literal, Sequence
+from itertools import chain, combinations, count, groupby, islice, repeat
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .geometry import (Cell, CellSet, Polyomino, TorusLattice, Vec, canonical,
-                       cell_array, is_coord_pair)
+from .geometry import (COORD_BOUND, Cell, CellSet, Polyomino, TorusLattice, Vec,
+                       canonical, cell_array, is_coord_pair)
 
 SolveMode = Literal["first", "count", "enumerate"]
 _BATCH_POINTS = 1 << 18  # placed points check_tiling materialises at a time
@@ -109,24 +109,53 @@ def region_from_json(obj: dict) -> Region:
     raise SolverInputError("a tiling needs a region: 'lattice' or 'rect'")
 
 
-@dataclass(frozen=True)
-class Placement:
-    piece: str
-    at: Vec
+Placement = NamedTuple("Placement", [("piece", str), ("at", Vec)])
 
-    def to_json(self) -> dict:
-        return {"piece": self.piece, "at": list(self.at)}
+
+class Placements:
+    """Placement records as columns, in file order: piece ``names`` in order
+    of first use, a ``piece`` index into them and a read-only int64 ``at``."""
+
+    def __init__(self, names: Iterable[str], piece, at):
+        self.names, self.piece, self.at = tuple(names), np.asarray(piece), cell_array(at)
+        self.at.flags.writeable = False
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Placement":
-        if not (isinstance(obj, dict) and isinstance(obj.get("piece"), str)):
-            raise SolverInputError(f"placement needs a piece name: {obj!r}")
-        at = obj.get("at")
-        if not is_coord_pair(at):
-            raise SolverInputError(
-                f"placement 'at' must be two integers of magnitude below "
-                f"2**31, got {at!r}")
-        return cls(obj["piece"], tuple(at))
+    def of(cls, placements: Placements | Iterable[Placement]) -> Placements:
+        if isinstance(placements, cls):
+            return placements
+        pieces, ats = tuple(zip(*placements)) or ((), ())
+        index = dict(zip(dict.fromkeys(pieces), count()))
+        return cls(index, np.fromiter(map(index.__getitem__, pieces), np.intp), ats)
+
+    @classmethod
+    def from_json(cls, records: list) -> Placements:
+        """From ``{"piece": str, "at": [x, y]}`` records, in C-level passes."""
+        dicts = set(map(type, records)) <= {dict}
+        pieces, ats = ([*map(dict.get, records, repeat(key))] if dicts else [None]
+                       for key in ("piece", "at"))
+        if not (set(map(type, pieces)) <= {str} and set(map(type, ats)) <= {list}
+                and set(map(len, ats)) <= {2}
+                and set(map(type, chain.from_iterable(ats))) <= {int}
+                and max(map(abs, chain.from_iterable(ats)), default=0) < COORD_BOUND):
+            for obj in records:  # the first bad record names the fault
+                if not (isinstance(obj, dict) and isinstance(obj.get("piece"), str)):
+                    raise SolverInputError(f"placement needs a piece name: {obj!r}")
+                if not is_coord_pair(at := obj.get("at")):
+                    raise SolverInputError(f"placement 'at' must be two integers of "
+                                           f"magnitude below 2**31, got {at!r}")
+        return cls.of(zip(pieces, ats))
+
+    def __len__(self) -> int:
+        return len(self.piece)
+
+    def __iter__(self) -> Iterator[Placement]:
+        pieces = map(self.names.__getitem__, self.piece.tolist())
+        return map(Placement, pieces, map(tuple, self.at.tolist()))
+
+    def to_json(self) -> list[dict]:
+        pairs = zip(map(self.names.__getitem__, self.piece.tolist()), self.at.tolist())
+        return [*map(dict, map(zip, repeat(("piece", "at")), pairs))]
 
 
 @dataclass(frozen=True)
@@ -161,7 +190,7 @@ def piece_map(pieces: Iterable[Polyomino]) -> dict[str, Polyomino]:
 
 
 def check_tiling(region: Region, pieces: Iterable[Polyomino],
-                 placements: Sequence[Placement]) -> CoverReport:
+                 placements: Placements | Sequence[Placement]) -> CoverReport:
     """Coverage multiplicity per region cell; reports gaps and double covers.
 
     Placed points are materialised a batch at a time, as x and y arrays:
@@ -171,26 +200,23 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
     twice does a second walk collect the points and owners on such cells.
     """
     table = piece_map(pieces)
-    groups: dict[str, list[int]] = {}
-    for i, pl in enumerate(placements):
-        if pl.piece not in table:
-            raise SolverInputError(f"unknown piece {pl.piece!r}")
-        groups.setdefault(pl.piece, []).append(i)
+    placements = Placements.of(placements)
+    if unknown := [name for name in placements.names if name not in table]:
+        raise SolverInputError(f"unknown piece {unknown[0]!r}")
 
     # A torus moves each offset into its fundamental domain, once.
-    at = cell_array(pl.at for pl in placements)
-    if isinstance(region, Torus):
-        at = np.column_stack(_kernels.reduce_points(*at.T, *region.lattice.hnf))
+    at = (np.column_stack(_kernels.reduce_points(*placements.at.T, *region.lattice.hnf))
+          if isinstance(region, Torus) else placements.at)
     far = np.abs(at).max(axis=0, initial=0)
     big_x, big_y = np.max([far + np.abs(table[name].xy).max(axis=0)
-                           for name in groups] or [far], axis=0).tolist()
+                           for name in placements.names] or [far], axis=0).tolist()
     # Points in int32 when every value region.index computes on them fits.
     dtype = np.int32 if region.index_bound(big_x, big_y) < 2 ** 31 else np.int64
     ox, oy = at.T.astype(dtype)
 
-    # Per piece: its x and y columns and its placements' ids, in any order.
-    shapes = [(*table[name].xy.T.astype(dtype), np.asarray(pids))
-              for name, pids in groups.items()]
+    # Per piece: its x and y columns and its placements' ids, in file order.
+    shapes = [(*table[name].xy.T.astype(dtype), np.flatnonzero(placements.piece == k))
+              for k, name in enumerate(placements.names)]
 
     def batches() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """(x, y, flat cell index, placement ids) of each batch's points."""

@@ -447,3 +447,17 @@ def test_malformed_input_is_input_error(tmp_path, capsys, case):
     assert _run(*argv, *options, "-o", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["verify", "render"])
+def test_first_unknown_piece_in_file_order(tmp_path, capsys, cmd):
+    # zz is used before yy, though it sorts after it.
+    pieces, tiling = tmp_path / "pieces.json", tmp_path / "tiling.json"
+    pieces.write_text(json.dumps(_MONO))
+    tiling.write_text(json.dumps({"rect": [3, 1], "placements": [
+        {"piece": name, "at": [x, 0]} for x, name in enumerate(["m", "zz", "yy"])]}))
+    argv = ([cmd, pieces, tiling] if cmd == "verify"
+            else [cmd, tiling, "--pieces", pieces])
+    capsys.readouterr()
+    assert _run(*argv, "-o", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "input error: unknown piece 'zz'\n"

@@ -15,7 +15,7 @@ from polywang.simulate import (
     linker_alignment_check,
     wang_cell_to_diamond,
 )
-from polywang.solver import Placement, Torus, check_tiling, region_from_json
+from polywang.solver import Placements, Torus, check_tiling, region_from_json
 from polywang.wang import WangInputError, WangTile, WangTileSet, WangTiling
 
 
@@ -112,6 +112,15 @@ def test_alignment_check_minimal_set():
     assert report.exact
 
 
+def test_emitted_names_are_the_used_pieces_in_file_order():
+    # Tile 0 of two on a one-cell torus: no B-filler, one linker kind.
+    ts = WangTileSet((WangTile(0, 0, 0, 0), WangTile(1, 1, 1, 1)), ("a", "b"))
+    sim = emit_placements(ts, WangTiling(1, 1, True, (0,)))
+    used = tuple(dict.fromkeys(pl.piece for pl in sim.placements))
+    assert sim.placements.names == used
+    assert len(used) == 5 and "b_filler" not in used
+
+
 def test_emit_rejects_bad_input(three_tile_set):
     with pytest.raises(WangInputError):
         emit_placements(three_tile_set, WangTiling(3, 1, False, (0, 1, 2)))
@@ -123,9 +132,9 @@ def test_simulated_tiling_round_trip(three_tile_set, three_tile_torus):
     sim = emit_placements(three_tile_set, three_tile_torus)
     obj = sim.to_json()
     region = region_from_json(obj)
-    back = SimulatedTiling(region.lattice,
-                           tuple(map(Placement.from_json, obj["placements"])))
-    assert back == sim
+    back = SimulatedTiling(region.lattice, Placements.from_json(obj["placements"]))
+    assert back.lattice == sim.lattice
+    assert list(back.placements) == list(sim.placements)
     assert json.dumps(back.to_json(), indent=1) == json.dumps(obj, indent=1)
 
 

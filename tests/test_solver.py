@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from polywang import solver
 from polywang.blocks import BlockKind, geometry
-from polywang.geometry import COORD_BOUND, Polyomino, TorusLattice, translate
+from polywang.geometry import (COORD_BOUND, Polyomino, TorusLattice, is_coord_pair,
+                               translate)
 from polywang.solver import (
     Placement,
+    Placements,
     Rectangle,
     SearchLimitError,
     SolverInputError,
@@ -399,3 +401,77 @@ def test_contained_placements_rectangle_scan(three_tile_pieces):
     t_filler = three_tile_pieces["t_filler"]
     found = contained_placements(box, (t_filler,))
     assert len(found) == 8 * 11  # 3x10 bounding box sliding in 10x20
+
+
+def _placement_from_json(obj):
+    """The one-record placement reader that Placements.from_json replaced,
+    verbatim but for its return value: the oracle of the column reader."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("piece"), str)):
+        raise SolverInputError(f"placement needs a piece name: {obj!r}")
+    at = obj.get("at")
+    if not is_coord_pair(at):
+        raise SolverInputError(
+            f"placement 'at' must be two integers of magnitude below "
+            f"2**31, got {at!r}")
+    return Placement(obj["piece"], tuple(at))
+
+
+_EDGE_INTS = st.sampled_from([0, 1, -1, COORD_BOUND - 1, 1 - COORD_BOUND,
+                              COORD_BOUND, -COORD_BOUND, 2 ** 63])
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), _EDGE_INTS,
+    st.floats(allow_nan=False), st.text(max_size=2),
+    st.lists(st.integers(-3, 3), max_size=3), st.dictionaries(st.text(max_size=1),
+                                                              st.integers(), max_size=2))
+_COORDS = st.one_of(
+    st.lists(st.one_of(st.integers(-3, 3), _EDGE_INTS), min_size=2, max_size=2),
+    st.lists(st.one_of(st.integers(-3, 3), st.booleans(), st.floats(allow_nan=False),
+                       _EDGE_INTS), max_size=3),
+    _JSON_VALUES)
+_VALID_RECORD = st.fixed_dictionaries({
+    "piece": st.sampled_from(["a", "b", "c"]),
+    "at": st.lists(st.one_of(st.integers(-3, 3), _EDGE_INTS.filter(
+        lambda v: abs(v) < COORD_BOUND)), min_size=2, max_size=2)})
+_ANY_RECORD = st.one_of(
+    st.fixed_dictionaries({"piece": st.one_of(st.sampled_from(["a", "b"]), _JSON_VALUES),
+                           "at": _COORDS}),
+    st.fixed_dictionaries({}, optional={"piece": st.just("a"),
+                                        "at": st.just([0, 0]), "x": _JSON_VALUES}),
+    _JSON_VALUES)
+
+
+@st.composite
+def _records(draw):
+    """Valid records with up to two arbitrary ones inserted anywhere."""
+    records = draw(st.lists(_VALID_RECORD, max_size=6))
+    for obj in draw(st.lists(_ANY_RECORD, max_size=2)):
+        records.insert(draw(st.integers(0, len(records))), obj)
+    return records
+
+
+@given(_records())
+@example([{"piece": "a", "at": [0, 0]}, {"piece": "a", "at": [True, 0]}])
+@example([{"piece": "a", "at": [0, 0]}, {"piece": "b", "at": [0.0, 0]},
+          {"piece": 5, "at": [0, 0]}])
+@example([{"at": [0, 0]}, {"piece": "a"}])
+@example([{"piece": "a", "at": [2 ** 31 - 1, 1 - 2 ** 31]},
+          {"piece": "b", "at": [0, 0, 0]}])
+@example([{"piece": "a", "at": [0, 0]}, {"piece": "b", "at": [0, -2 ** 31]}])
+@example(["a", {"piece": "a", "at": {"x": 0}}])
+@example([])
+@settings(max_examples=500, deadline=None)
+def test_placements_from_json_matches_record_reader(records):
+    try:
+        expected = [_placement_from_json(obj) for obj in records]
+    except SolverInputError as exc:
+        with pytest.raises(SolverInputError) as got:
+            Placements.from_json(records)
+        assert str(got.value) == str(exc)
+        return
+    placements = Placements.from_json(records)
+    assert list(placements) == expected
+    # Names hold the used pieces only, in order of first use.
+    assert placements.names == tuple(dict.fromkeys(pl.piece for pl in expected))
+    assert placements.to_json() == [{"piece": pl.piece, "at": list(pl.at)}
+                                    for pl in expected]
+    assert not placements.at.flags.writeable
