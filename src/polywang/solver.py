@@ -1,15 +1,18 @@
 """Translational exact-cover tiling engine and linear tiling checker.
 
 ``solve`` runs Knuth's Algorithm X (fewest-candidates cell selection) on an
-explicit stack and is meant for small regions; ``check_tiling`` verifies a
-given placement list in time linear in the covered area and is the workhorse
-for simulator output.
+explicit stack and is meant for small regions.  It memoises each finished
+subtree's solution and node counts on the covered-cell bitmask, for at most
+``_MEMO_CAP`` masks, as in Knuth, TAOCP Vol. 4B, 7.2.2.1.  ``check_tiling``
+verifies a given placement list in time linear in the covered area and is the
+workhorse for simulator output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, count, groupby, islice, repeat
+from itertools import chain, combinations, count, groupby, repeat
+from math import inf
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -20,6 +23,9 @@ from .geometry import (COORD_BOUND, Cell, CellSet, Polyomino, TorusLattice, Vec,
 
 SolveMode = Literal["first", "count", "enumerate"]
 _BATCH_POINTS = 1 << 18  # placed points check_tiling materialises at a time
+# Covered-cell masks solve memoises, at most: about 9.6 MB of heap when full
+# (tracemalloc, 8x8 rectangle, L and J trominoes and both dominoes).
+_MEMO_CAP = 1 << 16
 
 
 class SolverInputError(ValueError):
@@ -124,9 +130,14 @@ class Placements:
     def of(cls, placements: Placements | Iterable[Placement]) -> Placements:
         if isinstance(placements, cls):
             return placements
-        pieces, ats = tuple(zip(*placements)) or ((), ())
+        return cls._of_columns(*(tuple(zip(*placements)) or ((), ())))
+
+    @classmethod
+    def _of_columns(cls, pieces: Sequence[str], ats) -> Placements:
+        """From a piece name and an (x, y) pair per placement."""
         index = dict(zip(dict.fromkeys(pieces), count()))
-        return cls(index, np.fromiter(map(index.__getitem__, pieces), np.intp), ats)
+        return cls(index, np.fromiter(map(index.__getitem__, pieces), np.intp,
+                                      len(pieces)), ats)
 
     @classmethod
     def from_json(cls, records: list) -> Placements:
@@ -144,7 +155,7 @@ class Placements:
                 if not is_coord_pair(at := obj.get("at")):
                     raise SolverInputError(f"placement 'at' must be two integers of "
                                            f"magnitude below 2**31, got {at!r}")
-        return cls.of(zip(pieces, ats))
+        return cls._of_columns(pieces, ats)
 
     def __len__(self) -> int:
         return len(self.piece)
@@ -345,6 +356,16 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
     canonical order.  ``limit`` keeps the first solutions in that order;
     ``max_nodes`` bounds the search nodes below the root and raises
     SearchLimitError past it.
+
+    A placement is dead exactly when one of its cells is covered, so a
+    search state, its pick and its subtree depend only on the covered-cell
+    mask (a Python int, bit c for region cell c).  Each finished subtree
+    stores (solutions, nodes) under its mask, for at most ``_MEMO_CAP``
+    masks.  Count mode adds a stored subtree instead of searching it again;
+    first and enumerate skip only stored subtrees without solutions, so the
+    order of solutions does not change.  A skipped subtree's nodes count
+    towards ``max_nodes`` as if searched; one that would cross the budget is
+    searched, so the partial count stays exact.
     """
     if limit is not None and limit < 0:
         raise SolverInputError("limit must be nonnegative")
@@ -364,6 +385,8 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
     covered = len(cover) + 1  # a covered cell's size (its live count is 0)
     # The placements that share a cell with each placement, itself included.
     clash = [tuple(set().union(*(candidates[c] for c in cells))) for cells in cover]
+    bits = [sum(1 << c for c in cells) for cells in cover]
+    full = (1 << n_cells) - 1
 
     def pick() -> list[int]:
         """Live candidates of the first uncovered cell with at most one of
@@ -392,37 +415,48 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
                 for cell in cover[row]:
                     size[cell] += 1
 
-    def search() -> Iterator[tuple[int, ...]]:
-        nodes = found = 0
-        chosen: list[int] = []  # the placement that opened each frame
-        # The root pick is not a search node; every branch below it is.
-        stack = [[pick(), 0, n_cells]]
-        while stack:
-            frame = stack[-1]
-            cands, i, remaining = frame
-            if i == len(cands):
-                stack.pop()
-                if chosen:
-                    deselect(chosen.pop())
-                continue
-            frame[1] = i + 1
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise SearchLimitError(found)
-            pid = cands[i]
-            select(pid)
-            left = remaining - len(cover[pid])
-            if left:
-                chosen.append(pid)
-                stack.append([pick(), 0, left])
-            else:
-                found += 1
-                yield (*chosen, pid)
-                deselect(pid)
+    counting = mode == "count"
+    stop = 1 if mode == "first" else inf if limit is None else limit
+    budget = inf if max_nodes is None else max_nodes
+    memo: dict[int, tuple[int, int]] = {}  # mask -> (solutions, nodes) below it
+    solutions: list[tuple[int, ...]] = []  # kept unless counting
+    nodes = found = 0
+    chosen: list[int] = []  # the placement that opened each frame
+    # Frame: candidates, next branch, mask, and nodes and found on entry.
+    # The root pick is not a search node; every branch below it is.
+    stack = [[pick(), 0, 0, 0, 0]]
+    while stack and found < stop:
+        frame = stack[-1]
+        cands, i, mask, nodes_in, found_in = frame
+        if i == len(cands):
+            stack.pop()
+            if len(memo) < _MEMO_CAP:
+                memo[mask] = (found - found_in, nodes - nodes_in)
+            if chosen:
+                deselect(chosen.pop())
+            continue
+        frame[1] = i + 1
+        nodes += 1
+        if nodes > budget:
+            raise SearchLimitError(found)
+        pid = cands[i]
+        below = mask | bits[pid]
+        if below == full:
+            found += 1
+            if not counting:
+                solutions.append((*chosen, pid))
+            continue
+        hit = memo.get(below)
+        if hit and (counting or not hit[0]) and nodes + hit[1] <= budget:
+            found += hit[0]
+            nodes += hit[1]
+            continue
+        select(pid)
+        chosen.append(pid)
+        stack.append([pick(), 0, below, nodes, found])
 
-    solutions = islice(search(), 1 if mode == "first" else limit)
-    if mode == "count":
-        return sum(1 for _ in solutions)
+    if counting:
+        return min(found, stop)
     tilings = [
         sorted((universe.placements[pid] for pid in sol),
                key=lambda pl: (pl.piece, pl.at[1], pl.at[0]))

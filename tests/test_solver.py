@@ -1,4 +1,6 @@
 from functools import cache
+from itertools import count, islice
+from math import cos, pi, prod
 from unittest import mock
 
 import pytest
@@ -141,6 +143,169 @@ def test_search_order_pinned(region, pieces, count, nodes, partial):
     assert solve(universe, "first") == full[0]
 
 
+def _reference_solve(universe, mode="first", limit=None, max_nodes=None):
+    """Algorithm X without the covered-cell memo, as solve ran before it
+    had one (a generator cut by islice): the oracle of the memoised search.
+    """
+    if limit is not None and limit < 0:
+        raise SolverInputError("limit must be nonnegative")
+    if max_nodes is not None and max_nodes < 0:
+        raise SolverInputError("max_nodes must be nonnegative")
+    n_cells = universe.region.area
+    cover = universe._cover
+    candidates = universe._candidates
+    areas = [len(p) for p in universe.pieces]
+    if not solver._area_reachable(n_cells, areas):
+        if mode == "count":
+            return 0
+        return None if mode == "first" else []
+
+    size = [len(c) for c in candidates]
+    dead = [0] * len(cover)
+    covered = len(cover) + 1  # a covered cell's size (its live count is 0)
+    # The placements that share a cell with each placement, itself included.
+    clash = [tuple(set().union(*(candidates[c] for c in cells))) for cells in cover]
+
+    def pick() -> list[int]:
+        """Live candidates of the first uncovered cell with at most one of
+        them, else of the one with fewest (lowest index first)."""
+        low = min(size)
+        cell = size.index(low)
+        if low == 0 and 1 in size[:cell]:
+            cell = size.index(1)
+        return [pid for pid in candidates[cell] if not dead[pid]]
+
+    def select(pid: int):
+        for row in clash[pid]:
+            dead[row] += 1
+            if dead[row] == 1:
+                for cell in cover[row]:
+                    size[cell] -= 1
+        for cell in cover[pid]:
+            size[cell] = covered
+
+    def deselect(pid: int):
+        for cell in cover[pid]:
+            size[cell] = 0
+        for row in clash[pid]:
+            dead[row] -= 1
+            if not dead[row]:
+                for cell in cover[row]:
+                    size[cell] += 1
+
+    def search():
+        nodes = found = 0
+        chosen: list[int] = []  # the placement that opened each frame
+        # The root pick is not a search node; every branch below it is.
+        stack = [[pick(), 0, n_cells]]
+        while stack:
+            frame = stack[-1]
+            cands, i, remaining = frame
+            if i == len(cands):
+                stack.pop()
+                if chosen:
+                    deselect(chosen.pop())
+                continue
+            frame[1] = i + 1
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise SearchLimitError(found)
+            pid = cands[i]
+            select(pid)
+            left = remaining - len(cover[pid])
+            if left:
+                chosen.append(pid)
+                stack.append([pick(), 0, left])
+            else:
+                found += 1
+                yield (*chosen, pid)
+                deselect(pid)
+
+    solutions = islice(search(), 1 if mode == "first" else limit)
+    if mode == "count":
+        return sum(1 for _ in solutions)
+    tilings = [
+        sorted((universe.placements[pid] for pid in sol),
+               key=lambda pl: (pl.piece, pl.at[1], pl.at[0]))
+        for sol in solutions
+    ]
+    if mode == "first":
+        return tilings[0] if tilings else None
+    return tilings
+
+
+def _torus_lattices():
+    small = st.integers(-4, 4)
+    basis = st.tuples(st.tuples(small, small), st.tuples(small, small))
+    return basis.filter(lambda b: 0 < abs(b[0][0] * b[1][1] - b[0][1] * b[1][0]) <= 12) \
+        .map(lambda b: Torus(TorusLattice(*b)))
+
+
+def _outcome(search, universe, mode, **kw):
+    """A search's result, or its partial count if the node budget ran out."""
+    try:
+        return search(universe, mode, **kw)
+    except SearchLimitError as err:
+        return SearchLimitError, err.partial_count
+
+
+_SEARCH_PIECES = (L_TROMINO, J_TROMINO, H_DOM, V_DOM, MONO)
+
+
+# Every node budget up to one past the whole search, and limits around the
+# solution count, on regions small enough to sweep them all.
+@given(st.one_of(st.builds(Rectangle, st.integers(1, 3), st.integers(1, 2)),
+                 _torus_lattices().filter(lambda region: region.area <= 6)),
+       st.lists(st.sampled_from(_SEARCH_PIECES), min_size=1, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_solve_matches_reference_search(region, pieces):
+    universe = build_universe(region, pieces)
+    total = _reference_solve(universe, "count")
+    nodes = next(m for m in count()
+                 if _outcome(_reference_solve, universe, "count", max_nodes=m) == total)
+    for max_nodes in range(nodes + 2):
+        assert _outcome(solve, universe, "first", max_nodes=max_nodes) == \
+            _outcome(_reference_solve, universe, "first", max_nodes=max_nodes)
+        for limit in (None, 1, 2, 5, total, total + 1):
+            for mode in ("count", "enumerate"):
+                assert _outcome(solve, universe, mode, limit=limit, max_nodes=max_nodes) \
+                    == _outcome(_reference_solve, universe, mode, limit=limit,
+                                max_nodes=max_nodes)
+
+
+@pytest.mark.parametrize("cap", [0, 4])
+def test_memo_cap_keeps_counts(cap):
+    torus = build_universe(Torus(TorusLattice((4, 0), (1, 3))),
+                           (L_TROMINO, J_TROMINO, H_DOM, V_DOM))
+    strip = build_universe(Rectangle(2, 10), (H_DOM, V_DOM))
+    with mock.patch.object(solver, "_MEMO_CAP", cap):
+        assert solve(torus, "count") == solve(torus, "count", max_nodes=862) == 200
+        assert solve(strip, "count", max_nodes=319) == 89
+        for universe, partial in ((torus, {40: 8, 333: 76, 861: 199}),
+                                  (strip, {50: 13, 318: 88})):
+            for max_nodes, found in partial.items():
+                with pytest.raises(SearchLimitError) as err:
+                    solve(universe, "count", max_nodes=max_nodes)
+                assert err.value.partial_count == found
+
+
+def _kasteleyn(width, height):
+    """Domino tilings of a rectangle by Kasteleyn's product formula (1961)."""
+    return round(prod(4 * cos(pi * j / (width + 1)) ** 2 + 4 * cos(pi * k / (height + 1)) ** 2
+                      for j in range(1, (width + 1) // 2 + 1)
+                      for k in range(1, (height + 1) // 2 + 1)))
+
+
+@pytest.mark.parametrize("width, height", [(4, 4), (6, 6), (8, 8), (8, 10)])
+def test_domino_rectangles_match_kasteleyn(width, height):
+    assert _count(Rectangle(width, height), (H_DOM, V_DOM)) == _kasteleyn(width, height)
+
+
+def test_trominoes_and_dominoes_6x6_match_dp():
+    pieces = (L_TROMINO, J_TROMINO, H_DOM, V_DOM)
+    assert _count(Rectangle(6, 6), pieces) == _dp_count(6, 6, pieces) == 123648
+
+
 def _dp_count(width, height, pieces):
     """Tilings of a rectangle: the first empty cell in row-major order is
     covered by the first cell, in (y, x) order, of some piece."""
@@ -261,13 +426,6 @@ def _cover_oracle(region, pieces, placements):
                 overlaps.append((cell, own[i], own[j]))
     return (tuple(c for c in cells if c not in owners), tuple(overlaps),
             tuple(sorted(outside, key=lambda c: (c[1], c[0]))))
-
-
-def _torus_lattices():
-    small = st.integers(-4, 4)
-    basis = st.tuples(st.tuples(small, small), st.tuples(small, small))
-    return basis.filter(lambda b: 0 < abs(b[0][0] * b[1][1] - b[0][1] * b[1][0]) <= 12) \
-        .map(lambda b: Torus(TorusLattice(*b)))
 
 
 _REGIONS = st.one_of(
