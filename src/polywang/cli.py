@@ -10,8 +10,11 @@ import argparse
 import gc
 import json
 import sys
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import compiler, render, simulate, solver, wang
 from .geometry import GeometryError, Polyomino, TorusLattice, bounding_box
@@ -54,7 +57,12 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
 
 def _column(values, end: str):
     """A format for each of ``values`` (at indent ``end``) and the columns
-    of values it reads, if they are all int, all str or all [int, int] lists."""
+    of values it reads, if they are all int, all str or all [int, int] lists,
+    or an int array of shape (k,) or (k, 2), whose dtype proves them ints."""
+    if isinstance(values, np.ndarray):
+        if values.ndim == 1:
+            return "%d", [values.tolist()]
+        return f"[{end} %d,{end} %d{end}]", values.T.tolist()  # e.g. cells
     kinds = set(map(type, values))
     if kinds == {int}:
         return "%d", [values]
@@ -66,37 +74,49 @@ def _column(values, end: str):
     return None
 
 
-def _records(dicts: list, end: str):
-    """As _column, for non-empty dicts with the same keys in the same order
-    whose values per key suit _column (e.g. placements); else None."""
-    if (set(map(type, dicts)) != {dict} or not dicts[0]
-            or len(set(map(tuple, dicts))) != 1):
-        return None
+def _records(keys, columns, end: str):
+    """As _column, for records with ``keys`` given as their values per key
+    (``columns``, e.g. placements), if each suits _column; else None."""
     indent = end + " "
-    fields, columns = [], []
-    for key, values in zip(dicts[0], zip(*map(dict.values, dicts))):
+    fields, flat = [], []
+    for key, values in zip(keys, columns):
         if (column := _column(values, indent)) is None:
             return None
         fields.append(f"{encode_basestring_ascii(key).replace('%', '%%')}: {column[0]}")
-        columns += column[1]
-    return "{" + indent + f",{indent}".join(fields) + end + "}", columns
+        flat += column[1]
+    return "{" + indent + f",{indent}".join(fields) + end + "}", flat
+
+
+def _rows(obj, end: str):
+    """One row format and its columns for the whole list ``obj``, or None."""
+    if isinstance(obj, solver.Placements):
+        return _records(("piece", "at"), (obj.piece_names(), obj.at), end)
+    if (rows := _column(obj, end)) or set(map(type, obj)) != {dict}:
+        return rows
+    # Non-empty dicts with the same keys in the same order.
+    if obj[0] and len(set(map(tuple, obj))) == 1:
+        return _records(obj[0], zip(*map(dict.values, obj)), end)
+    return None
 
 
 def _json_text(obj, end: str = "\n") -> str:
     """``json.dumps(obj, indent=1)`` for dicts with str keys, lists, str,
-    int, bool and None.  ``end`` is a newline plus obj's own indent."""
+    int, bool and None, where an int array of shape (k,) or (k, 2) stands
+    for its ``tolist()`` and a ``solver.Placements`` for its ``to_json()``.
+    ``end`` is a newline plus obj's own indent."""
     if type(obj) in _SCALARS:
         return _SCALARS[type(obj)](obj)
-    if not isinstance(obj, (dict, list)):
+    if not (isinstance(obj, (dict, list, solver.Placements))
+            or isinstance(obj, np.ndarray) and obj.dtype.kind == "i"):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     opening, closing = "{}" if isinstance(obj, dict) else "[]"
-    if not obj:
+    if not len(obj):
         return opening + closing
     indent = end + " "
     if isinstance(obj, dict):
         items = [f"{encode_basestring_ascii(k)}: {_json_text(v, indent)}"
                  for k, v in obj.items()]
-    elif rows := _column(obj, indent) or _records(obj, indent):
+    elif rows := _rows(obj, indent):
         row, columns = rows  # one format string for the whole list
         items = [f",{indent}".join([row] * len(obj))
                  % tuple(chain.from_iterable(zip(*columns)))]
@@ -108,7 +128,7 @@ def _json_text(obj, end: str = "\n") -> str:
 def cmd_compile(args) -> int:
     tileset = wang.WangTileSet.from_json(_load_json(args.wang_set))
     pieces = compiler.compile_pieces(tileset)
-    _dump_json(args.output, pieces.to_json())
+    _dump_json(args.output, pieces.to_json(columns=True))
     return EXIT_OK
 
 
@@ -170,14 +190,14 @@ def _load_polyominoes(path: str):
 
 
 def _tiling_json(region: solver.Region, tiling) -> dict:
-    return {"placements": solver.Placements.of(tiling).to_json(), **region.to_json()}
+    return {"placements": solver.Placements.of(tiling), **region.to_json()}
 
 
 def cmd_simulate(args) -> int:
     tileset = wang.WangTileSet.from_json(_load_json(args.wang_set))
     tiling = wang.WangTiling.from_json(_load_json(args.wang_tiling))
     sim = simulate.emit_placements(tileset, tiling)
-    _dump_json(args.output, sim.to_json())
+    _dump_json(args.output, sim.to_json(columns=True))
     return EXIT_OK
 
 
@@ -223,7 +243,9 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it was."""
     ap = argparse.ArgumentParser(prog="polywang")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -282,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     # A command's many containers form no cycles: the cyclic collector waits
-    # till it returns (and then finds only the parser's few hundred objects).
+    # till it returns (and then finds next to nothing, as the parser is kept).
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -199,13 +199,14 @@ class SevenPieceSet:
     def cell_counts(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.pieces)
 
-    def to_json(self) -> dict:
+    def to_json(self, columns: bool = False) -> dict:
+        """The piece file; with ``columns``, each piece's cells stay its array."""
         return {
             "source": self.source.to_json(),
             "n": self.source.n,
             "m": self.source.m,
             "t": self.source.t,
-            "pieces": [p.to_json() for p in self.pieces],
+            "pieces": [p.to_json(columns) for p in self.pieces],
         }
 
 

@@ -38,6 +38,23 @@ def is_coord_pair(v) -> bool:
             and all(type(x) is int and abs(x) < COORD_BOUND for x in v))
 
 
+def coord_array(values) -> np.ndarray | None:
+    """A JSON list as an int64 (k, 2) array if each value is_coord_pair,
+    else None: C-level passes over types and lengths, one np.fromiter pass
+    (values past int64 overflow) and numpy's min and max for the bound."""
+    if not (isinstance(values, list) and set(map(type, values)) <= {list}
+            and set(map(len, values)) <= {2}
+            and set(map(type, chain.from_iterable(values))) <= {int}):
+        return None
+    try:
+        xy = np.fromiter(chain.from_iterable(values), np.int64, 2 * len(values))
+    except OverflowError:
+        return None
+    if len(xy) and not -COORD_BOUND < xy.min() <= xy.max() < COORD_BOUND:
+        return None
+    return xy.reshape(-1, 2)
+
+
 def translate(cells: Iterable[Cell], v: Vec) -> CellSet:
     dx, dy = v
     return frozenset((x + dx, y + dy) for x, y in cells)
@@ -306,19 +323,15 @@ class Polyomino:
     def canonical_cells(self) -> tuple[Cell, ...]:
         return tuple(zip(*self.xy.T.tolist()))
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "cells": self.xy.tolist()}
+    def to_json(self, columns: bool = False) -> dict:
+        """The piece's entry; with ``columns``, its cells stay the array."""
+        return {"name": self.name, "cells": self.xy if columns else self.xy.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polyomino":
         """A piece from its ``{"name": str, "cells": [[x, y], ...]}`` entry."""
         if not (isinstance(obj, dict) and isinstance(obj.get("name"), str)):
             raise GeometryError("a piece entry needs a string 'name'")
-        cells = obj.get("cells")
-        # is_coord_pair on every JSON cell, one C-level pass per condition.
-        if not (isinstance(cells, list)
-                and set(map(type, cells)) <= {list} and set(map(len, cells)) <= {2}
-                and set(map(type, chain.from_iterable(cells))) <= {int}
-                and max(map(abs, chain.from_iterable(cells)), default=0) < COORD_BOUND):
+        if (xy := coord_array(obj.get("cells"))) is None:
             raise GeometryError(f"piece {obj['name']!r} needs 'cells': integer pairs")
-        return cls(cells, obj["name"])
+        return cls(xy, obj["name"])

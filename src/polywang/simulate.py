@@ -72,9 +72,10 @@ class SimulatedTiling:
     lattice: TorusLattice
     placements: Placements
 
-    def to_json(self) -> dict:
-        return {**Torus(self.lattice).to_json(),
-                "placements": self.placements.to_json()}
+    def to_json(self, columns: bool = False) -> dict:
+        """The tiling file; with ``columns``, the placements stay columns."""
+        return {**Torus(self.lattice).to_json(), "placements":
+                self.placements if columns else self.placements.to_json()}
 
 
 def _tile_templates(tileset: WangTileSet) -> np.ndarray:

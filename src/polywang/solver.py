@@ -11,15 +11,15 @@ workhorse for simulator output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, count, groupby, repeat
+from itertools import combinations, count, groupby, repeat
 from math import inf
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .geometry import (COORD_BOUND, Cell, CellSet, Polyomino, TorusLattice, Vec,
-                       canonical, cell_array, is_coord_pair)
+from .geometry import (Cell, CellSet, Polyomino, TorusLattice, Vec, canonical,
+                       cell_array, coord_array, is_coord_pair)
 
 SolveMode = Literal["first", "count", "enumerate"]
 _BATCH_POINTS = 1 << 18  # placed points check_tiling materialises at a time
@@ -145,10 +145,7 @@ class Placements:
         dicts = set(map(type, records)) <= {dict}
         pieces, ats = ([*map(dict.get, records, repeat(key))] if dicts else [None]
                        for key in ("piece", "at"))
-        if not (set(map(type, pieces)) <= {str} and set(map(type, ats)) <= {list}
-                and set(map(len, ats)) <= {2}
-                and set(map(type, chain.from_iterable(ats))) <= {int}
-                and max(map(abs, chain.from_iterable(ats)), default=0) < COORD_BOUND):
+        if not set(map(type, pieces)) <= {str} or (ats := coord_array(ats)) is None:
             for obj in records:  # the first bad record names the fault
                 if not (isinstance(obj, dict) and isinstance(obj.get("piece"), str)):
                     raise SolverInputError(f"placement needs a piece name: {obj!r}")
@@ -160,12 +157,15 @@ class Placements:
     def __len__(self) -> int:
         return len(self.piece)
 
+    def piece_names(self) -> list[str]:
+        """The piece name of each placement."""
+        return [*map(self.names.__getitem__, self.piece.tolist())]
+
     def __iter__(self) -> Iterator[Placement]:
-        pieces = map(self.names.__getitem__, self.piece.tolist())
-        return map(Placement, pieces, map(tuple, self.at.tolist()))
+        return map(Placement, self.piece_names(), map(tuple, self.at.tolist()))
 
     def to_json(self) -> list[dict]:
-        pairs = zip(map(self.names.__getitem__, self.piece.tolist()), self.at.tolist())
+        pairs = zip(self.piece_names(), self.at.tolist())
         return [*map(dict, map(zip, repeat(("piece", "at")), pairs))]
 
 

@@ -1,16 +1,18 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polywang
-from polywang import cli
+from polywang import cli, solver
 from polywang.wang import THREE_TILE_JSON
 
 
@@ -110,9 +112,70 @@ def test_json_text_pins_layout_and_rejects_other_types():
         assert cli._json_text(obj) == json.dumps(obj, indent=1)
     assert cli._json_text(records[:1]) == \
         '[\n {\n  "%s": "%d",\n  "at": [\n   1,\n   -2\n  ]\n }\n]'
-    for bad in (0.5, (1, 2), {1: 2}, [[0, 0], [0, 0.5]]):
+    for bad in (0.5, (1, 2), {1: 2}, [[0, 0], [0, 0.5]], np.int64(1),
+                np.zeros(2), np.array([True])):
         with pytest.raises(TypeError):
             cli._json_text(bad)
+
+
+# Int arrays as the writer takes them, of shapes (k,) and (k, 2), and the
+# placement columns; json.dumps writes their JSON values.
+_INT_ARRAYS = st.builds(
+    np.array, st.lists(st.sampled_from([0, 1, -1, 2 ** 31 - 1, -(2 ** 31 - 1)])
+                       | st.integers(-2 ** 63, 2 ** 63 - 1), max_size=6),
+    st.just(np.int64)).flatmap(
+        lambda a: st.sampled_from([a, a[:len(a) // 2 * 2].reshape(-1, 2)]))
+_PLACEMENTS = st.lists(st.tuples(_JSON_STRINGS, st.tuples(st.integers(-5, 5),
+                                                          st.integers(-5, 5))),
+                       max_size=4).map(solver.Placements.of)
+
+
+def _as_json(obj):
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj.to_json()
+
+
+@given(st.recursive(_JSON_SCALARS | _INT_ARRAYS | _PLACEMENTS,
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+                    max_leaves=12))
+@example(np.zeros(0, np.int64))
+@example({"a": [{"cells": np.zeros((0, 2), np.int64)}]})
+@example([np.array([-3, 2 ** 31 - 1]), {"a": [1, {"cells": np.array(
+    [[0, -(2 ** 31 - 1)], [-7, 2 ** 31 - 1]])}]}])
+@settings(max_examples=300)
+def test_json_text_writes_arrays_as_their_lists(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=1, default=_as_json)
+
+
+# sha256 of `polywang compile data/three_tile_set.json`, whose pieces have
+# cells at negative y, as json.dumps(..., indent=1) writes them.
+_THREE_TILE_PIECES_SHA256 = \
+    "7b89aed49b345f001bff8a96aecf35dc0d8490829d17a3bfb5bf34967f51b64f"
+
+
+def test_compile_output_pinned(tmp_path):
+    data = Path(__file__).resolve().parent.parent / "data" / "three_tile_set.json"
+    pieces = tmp_path / "pieces.json"
+    assert _run("compile", data, "-o", pieces) == 0
+    assert hashlib.sha256(pieces.read_bytes()).hexdigest() == _THREE_TILE_PIECES_SHA256
+
+
+def test_runs_in_one_process_keep_no_options(tmp_path):
+    # The parser is built once per process; no parsed value carries over.
+    assert cli.build_parser() is cli.build_parser()
+    dominoes = tmp_path / "dominoes.json"
+    dominoes.write_text(json.dumps([{"name": "h", "cells": [[0, 0], [1, 0]]},
+                                    {"name": "v", "cells": [[0, 0], [0, 1]]}]))
+    count = tmp_path / "count.txt"
+    for options, expected in (((), "5"), (("--limit", 2), "2"), ((), "5")):
+        assert _run("solve-poly", dominoes, "--rect", 2, 4, "--mode", "count",
+                    *options, "-o", count) == 0
+        assert count.read_text() == expected + "\n"
+    svgs = []
+    for options in ((), ("--grid",), ()):
+        assert _run("render", dominoes, *options, "-o", tmp_path / "d.svg") == 0
+        svgs.append((tmp_path / "d.svg").read_text())
+    assert svgs[0] == svgs[2] != svgs[1]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

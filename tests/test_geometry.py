@@ -146,7 +146,8 @@ def test_is_connected_matches_flood_fill(cells):
 
 _JSON_CELLS = st.lists(
     st.lists(st.sampled_from([0, 1, -1, COORD_BOUND - 1, COORD_BOUND,
-                              -COORD_BOUND + 1, -COORD_BOUND, 2 ** 70, True,
+                              -COORD_BOUND + 1, -COORD_BOUND, 2 ** 70,
+                              2 ** 63, -2 ** 63, -2 ** 63 - 1, 2 ** 64, True,
                               False, 0.0, 1.5, "0", None]), max_size=3)
     | st.integers(-1, 1) | st.just({"x": 0}) | st.just("ab"),
     max_size=4)

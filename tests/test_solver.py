@@ -575,7 +575,8 @@ def _placement_from_json(obj):
 
 
 _EDGE_INTS = st.sampled_from([0, 1, -1, COORD_BOUND - 1, 1 - COORD_BOUND,
-                              COORD_BOUND, -COORD_BOUND, 2 ** 63])
+                              COORD_BOUND, -COORD_BOUND, 2 ** 63, -2 ** 63,
+                              -2 ** 63 - 1, 2 ** 64])
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-5, 5), _EDGE_INTS,
     st.floats(allow_nan=False), st.text(max_size=2),
