@@ -1,4 +1,5 @@
-"""Verification kernels: lattice reduction and coverage counting in numpy."""
+"""Verification kernels in numpy: lattice reduction, and coverage counting
+from row runs."""
 
 from __future__ import annotations
 
@@ -16,10 +17,13 @@ def reduce_points(xs, ys, a, b, c):
     return xr, yr
 
 
-def coverage_counts(idx, counts):
-    """Add one to ``counts`` at the flat cell index of every covered point,
-    in time linear in the number of points."""
-    np.add.at(counts, idx, counts.dtype.type(1))
+def coverage_counts(starts, ends, diff):
+    """Add one to ``diff`` at the flat index where each row run starts and
+    take one off where it ends, in time linear in the number of runs; a
+    prefix sum of ``diff`` then counts the runs covering each cell."""
+    one = diff.dtype.type(1)  # a Python 1 would make np.add.at cast per index
+    np.add.at(diff, starts, one)
+    np.subtract.at(diff, ends, one)
 
 
 def backend() -> str:

@@ -58,7 +58,11 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
 def _column(values, end: str):
     """A format for each of ``values`` (at indent ``end``) and the columns
     of values it reads, if they are all int, all str or all [int, int] lists,
-    or an int array of shape (k,) or (k, 2), whose dtype proves them ints."""
+    or an int array of shape (k,) or (k, 2), whose dtype proves them ints.
+    A ``solver.Placements`` stands for its piece names, each encoded once."""
+    if isinstance(values, solver.Placements):
+        names = [*map(encode_basestring_ascii, values.names)]
+        return "%s", [[*map(names.__getitem__, values.piece.tolist())]]
     if isinstance(values, np.ndarray):
         if values.ndim == 1:
             return "%d", [values.tolist()]
@@ -90,7 +94,7 @@ def _records(keys, columns, end: str):
 def _rows(obj, end: str):
     """One row format and its columns for the whole list ``obj``, or None."""
     if isinstance(obj, solver.Placements):
-        return _records(("piece", "at"), (obj.piece_names(), obj.at), end)
+        return _records(("piece", "at"), (obj, obj.at), end)
     if (rows := _column(obj, end)) or set(map(type, obj)) != {dict}:
         return rows
     # Non-empty dicts with the same keys in the same order.

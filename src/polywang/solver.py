@@ -4,8 +4,9 @@
 explicit stack and is meant for small regions.  It memoises each finished
 subtree's solution and node counts on the covered-cell bitmask, for at most
 ``_MEMO_CAP`` masks, as in Knuth, TAOCP Vol. 4B, 7.2.2.1.  ``check_tiling``
-verifies a given placement list in time linear in the covered area and is the
-workhorse for simulator output.
+verifies a given placement list and is the workhorse for simulator output.  It
+counts coverage from each piece's row runs, +1 where a placed run starts and -1
+just past its end, then one prefix sum over the region's cells.
 """
 
 from __future__ import annotations
@@ -58,6 +59,16 @@ class Rectangle:
         inside = (xs >= 0) & (xs < self.width) & (ys >= 0) & (ys < self.height)
         return np.where(inside, ys * self.width + xs, -1)
 
+    def runs(self, xs: np.ndarray, ys: np.ndarray, lengths: np.ndarray):
+        """Flat [start, end) of the cells inside of each row run of
+        ``lengths`` cells from (xs, ys), empty on a row outside, and the
+        times each wraps its row: never."""
+        inside = (ys >= 0) & (ys < self.height)
+        row = np.where(inside, ys * self.width, 0)
+        start = np.clip(xs, 0, self.width)
+        end = np.where(inside, np.clip(xs + lengths, 0, self.width), start)
+        return row + start, row + end, np.zeros_like(start)
+
     def index_bound(self, big_x: int, big_y: int) -> int:
         """Largest |value| ``index`` computes for |x| <= big_x, |y| <= big_y."""
         return max(big_y * self.width + big_x, self.area)
@@ -86,6 +97,16 @@ class Torus:
         """Flat index y * width + x of each point's representative cell."""
         xr, yr = _kernels.reduce_points(xs, ys, *self.lattice.hnf)
         return yr * self.width + xr
+
+    def runs(self, xs: np.ndarray, ys: np.ndarray, lengths: np.ndarray):
+        """Flat [start, end) in its reduced row of each row run of ``lengths``
+        cells from (xs, ys), and the times it wraps that row.  A run stays in
+        its row, x taken mod width: it covers the whole row ``wraps`` times,
+        plus [start, end), or minus [end, start) when end < start."""
+        xr, yr = _kernels.reduce_points(xs, ys, *self.lattice.hnf)
+        wraps, xe = np.divmod(xr + lengths, self.width)
+        row = yr * self.width
+        return row + xr, row + xe, wraps
 
     def index_bound(self, big_x: int, big_y: int) -> int:
         """Largest |value| ``index`` computes for |x| <= big_x, |y| <= big_y:
@@ -200,15 +221,27 @@ def piece_map(pieces: Iterable[Polyomino]) -> dict[str, Polyomino]:
     return out
 
 
+def _row_runs(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First cell and length of each run of consecutive cells in a row, for
+    cells in (y, x) order."""
+    step = np.diff(xy, axis=0)
+    first = np.flatnonzero(np.r_[True, (step[:, 0] != 1) | (step[:, 1] != 0)])
+    return xy[first], np.diff(first, append=len(xy))
+
+
 def check_tiling(region: Region, pieces: Iterable[Polyomino],
                  placements: Placements | Sequence[Placement]) -> CoverReport:
     """Coverage multiplicity per region cell; reports gaps and double covers.
 
-    Placed points are materialised a batch at a time, as x and y arrays:
-    whole placements of one piece, at most ``_BATCH_POINTS`` points (or one
-    placement of a larger piece).  Memory is bounded by the region's count
-    array, not by placements x piece size.  Only when some cell is covered
-    twice does a second walk collect the points and owners on such cells.
+    Each piece splits once into row runs.  A batch (whole placements of one
+    piece, at most ``_BATCH_POINTS`` placed points, or one placement of a
+    larger piece) places its runs, and ``region.runs`` gives each run's flat
+    [start, end) in the region, clipped to a rectangle or wrapped round a
+    torus row.  The count pass adds +1 at each start and -1 at each end; one
+    prefix sum then gives every cell's count.  Memory is bounded by the
+    region's count array, not by placements x piece size.  Points are
+    materialised only for placements with a run that leaves a rectangle or,
+    when some cell is covered twice, touches such a cell.
     """
     table = piece_map(pieces)
     placements = Placements.of(placements)
@@ -221,48 +254,79 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
     far = np.abs(at).max(axis=0, initial=0)
     big_x, big_y = np.max([far + np.abs(table[name].xy).max(axis=0)
                            for name in placements.names] or [far], axis=0).tolist()
-    # Points in int32 when every value region.index computes on them fits.
-    dtype = np.int32 if region.index_bound(big_x, big_y) < 2 ** 31 else np.int64
+    runs = [_row_runs(table[name].xy) for name in placements.names]
+    longest = max([lengths.max() for _, lengths in runs], default=0)
+    # Points in int32 when every value region.index and region.runs compute
+    # on them fits: a run's end passes its start by at most its length.
+    bound = region.index_bound(big_x, big_y) + int(longest)
+    dtype = np.int32 if bound < 2 ** 31 else np.int64
     ox, oy = at.T.astype(dtype)
 
-    # Per piece: its x and y columns and its placements' ids, in file order.
-    shapes = [(*table[name].xy.T.astype(dtype), np.flatnonzero(placements.piece == k))
-              for k, name in enumerate(placements.names)]
+    # Per piece: its x and y columns, its runs' first x, first y and length,
+    # and its placements' ids, in file order.
+    shapes = [(*table[name].xy.T.astype(dtype), *first.T.astype(dtype),
+               lengths.astype(dtype), np.flatnonzero(placements.piece == k))
+              for k, (name, (first, lengths)) in enumerate(zip(placements.names, runs))]
 
-    def batches() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """(x, y, flat cell index, placement ids) of each batch's points."""
-        for cx, cy, pids in shapes:
+    def batches():
+        """Each batch's placement ids, its piece's x and y columns and run
+        lengths, and region.runs of its runs, one row per placement."""
+        for cx, cy, rx, ry, rl, pids in shapes:
             step = max(1, _BATCH_POINTS // len(cx))
             for lo in range(0, len(pids), step):
                 ids = pids[lo:lo + step]
-                xs = (ox[ids, None] + cx).ravel()
-                ys = (oy[ids, None] + cy).ravel()
-                yield xs, ys, region.index(xs, ys), ids
+                yield ids, cx, cy, rl, region.runs(ox[ids, None] + rx,
+                                                   oy[ids, None] + ry, rl)
 
-    # No cell is covered more often than there are placed points, so the
-    # narrowest dtype that holds their number cannot wrap.
-    placed = sum(len(cx) * len(pids) for cx, _, pids in shapes)
-    counts = np.zeros(region.area, dtype=np.min_scalar_type(placed))
-    outside: list[Cell] = []
-    for xs, ys, idx, _ in batches():
-        inside = idx >= 0
-        if not inside.all():  # never on a torus
-            outside.extend(zip(xs[~inside].tolist(), ys[~inside].tolist()))
-            idx = idx[inside]
-        _kernels.coverage_counts(idx, counts)
+    def cells_of(ids, cx, cy):
+        """x, y and flat cell index of the points the placements ``ids`` place."""
+        xs, ys = (ox[ids, None] + cx).ravel(), (oy[ids, None] + cy).ravel()
+        return xs, ys, region.index(xs, ys)
 
+    # Count changes along the flat cells, and one past the last.  The count
+    # of a cell cannot pass the number of placed points, so the narrowest
+    # signed dtype that holds that number gives every count; the changes
+    # may wrap on the way, as a sum of them mod 2**bits is still exact.
+    placed = sum(len(cx) * len(pids) for cx, *_, pids in shapes)
+    try:
+        diff = np.zeros(region.area + 1, dtype=np.min_scalar_type(-placed - 1))
+    except ValueError as exc:  # more bytes than numpy can address
+        raise MemoryError(str(exc)) from None
     width = region.width
+    outside: list[Cell] = []
+    for ids, cx, cy, rl, (start, end, wraps) in batches():
+        _kernels.coverage_counts(start.ravel(), end.ravel(), diff)
+        if wraps.any():  # the whole torus row once per wrap (see Torus.runs)
+            rows = np.repeat(start[wraps > 0] // width * width, wraps[wraps > 0])
+            _kernels.coverage_counts(rows, rows + width, diff)
+        cut = (end - start + wraps * width < rl).any(axis=1)
+        if cut.any():  # never on a torus
+            xs, ys, idx = cells_of(ids[cut], cx, cy)
+            off = idx < 0
+            outside.extend(zip(xs[off].tolist(), ys[off].tolist()))
+    counts = np.cumsum(diff, dtype=diff.dtype, out=diff)[:-1]
+
     uncovered = tuple((v % width, v // width)
                       for v in np.flatnonzero(counts == 0).tolist())
 
     overlaps: list[tuple[Cell, int, int]] = []
     if counts.max() > 1:
+        # The count array, done with, becomes hot[v]: the number of cells
+        # before v covered more than once, at most half the placed points.
+        hot = diff
+        np.cumsum(counts > 1, dtype=hot.dtype, out=hot[1:])
+        hot[0] = 0
         hot_idx, hot_owner = [], []
-        for xs, _, idx, ids in batches():
-            # Index -1 (outside a rectangle) reads the last count; drop it.
-            hot = (idx >= 0) & (counts[idx] > 1)
-            hot_idx.append(idx[hot])
-            hot_owner.append(np.repeat(ids, len(xs) // len(ids))[hot])
+        for ids, cx, cy, _, (start, end, wraps) in batches():
+            # A run that wraps may touch any cell of its row.
+            lo = np.where(wraps > 0, start // width * width, start)
+            hi = np.where(wraps > 0, lo + width, end)
+            ids = ids[(hot[hi] > hot[lo]).any(axis=1)]
+            _, _, idx = cells_of(ids, cx, cy)
+            # Index -1 (outside a rectangle) reads hot[0] > hot[-1]: false.
+            keep = hot[idx + 1] > hot[idx]
+            hot_idx.append(idx[keep])
+            hot_owner.append(np.repeat(ids, len(cx))[keep])
         idx, owner = np.concatenate(hot_idx), np.concatenate(hot_owner)
         order = np.lexsort((owner, idx))
         points = zip(idx[order].tolist(), owner[order].tolist())

@@ -365,6 +365,21 @@ def test_region_too_large_is_resource_limit(tmp_path, capsys, region):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_region_too_large_for_wide_counts_is_resource_limit(tmp_path, capsys):
+    # 70,000 placed points need counts wider than a byte: 4e18 of them take
+    # more bytes than numpy can address, which it refuses with a ValueError.
+    pieces = tmp_path / "bar.json"
+    pieces.write_text(json.dumps([{"name": "bar",
+                                   "cells": [[x, 0] for x in range(70000)]}]))
+    tiling = tmp_path / "huge.json"
+    tiling.write_text(json.dumps({"rect": [2000000000, 2000000000],
+                                  "placements": [{"piece": "bar", "at": [0, 0]}]}))
+    capsys.readouterr()
+    assert _run("verify", pieces, tiling, "-o", tmp_path / "r.json") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: out of memory: ")
+
+
 def test_render_rect_tiling(workdir):
     dom = workdir / "dominoes.json"
     dom.write_text(json.dumps([

@@ -468,6 +468,37 @@ def _assert_matches_oracle(region, placements):
         _cover_oracle(region, pieces, placements)
 
 
+# Horizontal bars of 1 to 7 cells, one row run each, and a U pentomino,
+# whose upper row is two runs.
+_RUN_PIECES = (*(Polyomino(frozenset((x, 0) for x in range(n)), f"bar{n}")
+                 for n in range(1, 8)),
+               Polyomino(frozenset({(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)}), "U"))
+
+
+# Runs longer than a torus row wrap it whole; runs across the seam split;
+# runs on a rectangle are clipped, or dropped on a row outside it.
+@pytest.mark.parametrize("batch_points", [solver._BATCH_POINTS, 1])
+@given(st.one_of(st.builds(Rectangle, st.integers(1, 5), st.integers(1, 3)),
+                 _torus_lattices()),
+       st.lists(st.builds(Placement, st.sampled_from([p.name for p in _RUN_PIECES]),
+                          st.tuples(st.integers(-8, 8), st.integers(-2, 4))),
+                max_size=8))
+@example(Torus(TorusLattice((3, 0), (0, 1))), [Placement("bar2", (2, 0)),
+                                               Placement("bar1", (1, 0))])
+@example(Torus(TorusLattice((3, 0), (0, 1))), [Placement("bar7", (-4, 0)),
+                                               Placement("bar2", (5, 3))])
+@example(Torus(TorusLattice((3, 0), (1, 2))), [Placement("bar5", (2, 1)),
+                                               Placement("U", (-1, -3))])
+@example(Rectangle(3, 2), [Placement("bar7", (-2, 1)), Placement("bar3", (0, -1)),
+                           Placement("bar2", (2, 0)), Placement("U", (1, 0))])
+@settings(max_examples=300, deadline=None)
+def test_check_tiling_row_runs_match_owner_oracle(batch_points, region, placements):
+    with mock.patch.object(solver, "_BATCH_POINTS", batch_points):
+        report = check_tiling(region, _RUN_PIECES, placements)
+    assert (report.uncovered, report.overlaps, report.out_of_region) == \
+        _cover_oracle(region, _RUN_PIECES, placements)
+
+
 def test_check_tiling_piece_wrapped_round_tiny_torus():
     # All 256 points of the bar land on the one cell of a 1x1 torus; a
     # count array of one byte would wrap to 0 and call the cell uncovered.
