@@ -132,7 +132,7 @@ def _json_text(obj, end: str = "\n") -> str:
 def cmd_compile(args) -> int:
     tileset = wang.WangTileSet.from_json(_load_json(args.wang_set))
     pieces = compiler.compile_pieces(tileset)
-    _dump_json(args.output, pieces.to_json(columns=True))
+    _dump_json(args.output, pieces.to_json())
     return EXIT_OK
 
 
@@ -187,7 +187,7 @@ def cmd_solve_poly(args) -> int:
 
 def _load_polyominoes(path: str):
     obj = _load_json(path)
-    entries = obj["pieces"] if isinstance(obj, dict) else obj
+    entries = obj.get("pieces") if isinstance(obj, dict) else obj
     if not isinstance(entries, list):
         raise CliError(f"{path}: pieces must be a list of piece entries")
     return tuple(map(Polyomino.from_json, entries))
@@ -201,14 +201,14 @@ def cmd_simulate(args) -> int:
     tileset = wang.WangTileSet.from_json(_load_json(args.wang_set))
     tiling = wang.WangTiling.from_json(_load_json(args.wang_tiling))
     sim = simulate.emit_placements(tileset, tiling)
-    _dump_json(args.output, sim.to_json(columns=True))
+    _dump_json(args.output, sim.to_json())
     return EXIT_OK
 
 
 def _placements(obj: dict) -> solver.Placements:
-    if not isinstance(obj["placements"], list):
+    if not isinstance(placements := obj.get("placements"), list):
         raise CliError("'placements' must be a list")
-    return solver.Placements.from_json(obj["placements"])
+    return solver.Placements.from_json(placements)
 
 
 def cmd_verify(args) -> int:
@@ -317,6 +317,9 @@ def run(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except render.GridLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     except (wang.WangInputError, compiler.CompileError, GeometryError,
             solver.SolverInputError, render.RenderError,
             KeyError, ValueError) as exc:

@@ -137,45 +137,38 @@ def _linker_grid(tileset: WangTileSet, anchor: Vec) -> BlockGrid:
     return grid
 
 
-def _linker_body(tileset: WangTileSet, col0: int = 0, row0: int = 0,
+def _linker_body(tileset: WangTileSet, row0: int = 0,
                  grid: BlockGrid | None = None) -> BlockGrid:
-    if grid is None:
-        grid = BlockGrid()
+    grid = BlockGrid() if grid is None else grid
     width = 2 * tileset.n
+    mid = {0: BlockKind.X_DENT, width - 1: BlockKind.X_BUMP}
     for col in range(width):
-        grid.place(col0 + col, row0 + 0,
+        grid.place(col, row0,
                    BlockKind.Y_PLUS_DENT if col % 2 else BlockKind.FUNCTIONAL)
-        grid.place(col0 + col, row0 + 2,
+        grid.place(col, row0 + 2,
                    BlockKind.Y_MINUS_DENT if col % 2 else BlockKind.FUNCTIONAL)
-        if col == 0:
-            mid = BlockKind.X_DENT
-        elif col == width - 1:
-            mid = BlockKind.X_BUMP
-        else:
-            mid = BlockKind.FUNCTIONAL
-        grid.place(col0 + col, row0 + 1, mid)
+        grid.place(col, row0 + 1, mid.get(col, BlockKind.FUNCTIONAL))
     return grid
 
 
-def _filler_grid(dent: BlockKind, bump: BlockKind, col0: int = 0, row0: int = 0,
+def _filler_grid(dent: BlockKind, bump: BlockKind, row0: int = 0,
                  grid: BlockGrid | None = None) -> BlockGrid:
-    if grid is None:
-        grid = BlockGrid()
-    grid.place(col0, row0 + 0, BlockKind.FUNCTIONAL)
-    grid.place(col0, row0 + 1, dent)
-    grid.place(col0, row0 + 2, BlockKind.FUNCTIONAL)
-    grid.place(col0 + 1, row0 + 0, BlockKind.Y_MINUS)
-    grid.place(col0 + 1, row0 + 1, bump)
-    grid.place(col0 + 1, row0 + 2, BlockKind.Y_PLUS)
+    grid = BlockGrid() if grid is None else grid
+    grid.place(0, row0, BlockKind.FUNCTIONAL)
+    grid.place(0, row0 + 1, dent)
+    grid.place(0, row0 + 2, BlockKind.FUNCTIONAL)
+    grid.place(1, row0, BlockKind.Y_MINUS)
+    grid.place(1, row0 + 1, bump)
+    grid.place(1, row0 + 2, BlockKind.Y_PLUS)
     return grid
 
 
 def _connector_grid(tileset: WangTileSet) -> BlockGrid:
-    grid = _linker_body(tileset, 0, 0)
+    grid = _linker_body(tileset)
     # Mixed filler (b dent west, A bump east) between the two bodies,
     # left-aligned; its Y bumps cancel the bodies' dents at column 1.
-    _filler_grid(BlockKind.B_DENT, BlockKind.A_BUMP, 0, 3, grid)
-    _linker_body(tileset, 0, 6, grid)
+    _filler_grid(BlockKind.B_DENT, BlockKind.A_BUMP, 3, grid)
+    _linker_body(tileset, 6, grid)
     return grid
 
 
@@ -199,14 +192,14 @@ class SevenPieceSet:
     def cell_counts(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.pieces)
 
-    def to_json(self, columns: bool = False) -> dict:
-        """The piece file; with ``columns``, each piece's cells stay its array."""
+    def to_json(self) -> dict:
+        """The piece file for ``cli._json_text``: cells stay arrays."""
         return {
             "source": self.source.to_json(),
             "n": self.source.n,
             "m": self.source.m,
             "t": self.source.t,
-            "pieces": [p.to_json(columns) for p in self.pieces],
+            "pieces": [p.to_json() for p in self.pieces],
         }
 
 

@@ -77,8 +77,9 @@ def _connected_rows(xy: np.ndarray):
     """The distinct cells of non-empty (x, y) rows, in canonical (y, x)
     order, if they are edge-connected; else None.  They are sorted by
     row-major keys in their bounding box (none is formed when a side is as
-    long as the rows are many: such cells are not connected), and their row
-    runs are merged by union-find with the runs they touch above."""
+    long as the rows are many: such cells are not connected); each row run
+    is joined to the runs it touches above by hooking larger roots under
+    smaller ones and pointer jumping (Shiloach and Vishkin, 1982)."""
     (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
     if max(x1 - x0, y1 - y0) >= len(xy):
         return None
@@ -89,20 +90,17 @@ def _connected_rows(xy: np.ndarray):
     run = np.cumsum((np.diff(key, prepend=key[0]) != 1) | (key % width == 0)) - 1
     above = np.minimum(np.searchsorted(key, key + width), len(key) - 1)
     joined = key[above] == key + width
-    parent = list(range(run[-1] + 1))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     # Row-major cells meet the runs above left to right: repeats are adjacent.
     lo, hi = run[joined], run[above[joined]]
     first = (np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0)
-    for a, b in zip(lo[first].tolist(), hi[first].tolist()):
-        parent[root(a)] = root(b)
-    if sum(i == r for i, r in enumerate(parent)) > 1:
+    lo, hi = lo[first], hi[first]
+    root, a, b = np.arange(run[-1] + 1), lo, hi
+    while (a != b).any():
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while (root != (jumped := root[root])).any():
+            root = jumped
+        a, b = root[lo], root[hi]
+    if root.any():  # the runs of one piece all have root 0
         return None
     dy, dx = np.divmod(key, width)
     return np.column_stack((dx + x0, dy + y0))
@@ -323,9 +321,9 @@ class Polyomino:
     def canonical_cells(self) -> tuple[Cell, ...]:
         return tuple(zip(*self.xy.T.tolist()))
 
-    def to_json(self, columns: bool = False) -> dict:
-        """The piece's entry; with ``columns``, its cells stay the array."""
-        return {"name": self.name, "cells": self.xy if columns else self.xy.tolist()}
+    def to_json(self) -> dict:
+        """The piece's entry for ``cli._json_text``: its cells stay the array."""
+        return {"name": self.name, "cells": self.xy}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polyomino":

@@ -27,6 +27,10 @@ class RenderError(ValueError):
     pass
 
 
+class GridLimitError(Exception):
+    """A grid of more than MAX_GRID_LINES lines was asked for."""
+
+
 @dataclass(frozen=True)
 class RenderSpec:
     cell_size: int = 4
@@ -127,7 +131,7 @@ def render_svg(spec: RenderSpec, payload: Sequence[Polyomino | Placement] | Plac
     x0, y0 = (boxes[:, :2] + at).min(axis=0).tolist()
     x1, y1 = (boxes[:, 2:] + at).max(axis=0).tolist()
     if spec.grid and (n := (x1 - x0 + 1) + (y1 - y0 + 1)) > MAX_GRID_LINES:
-        raise MemoryError(f"a grid of {n} lines is over the limit of {MAX_GRID_LINES}")
+        raise GridLimitError(f"a grid of {n} lines is over the limit of {MAX_GRID_LINES}")
     w, h = (x1 - x0 + 2) * s, (y1 - y0 + 2) * s
     flip = y1 + 1  # top margin of one cell after the flip
     lines = [

@@ -72,10 +72,9 @@ class SimulatedTiling:
     lattice: TorusLattice
     placements: Placements
 
-    def to_json(self, columns: bool = False) -> dict:
-        """The tiling file; with ``columns``, the placements stay columns."""
-        return {**Torus(self.lattice).to_json(), "placements":
-                self.placements if columns else self.placements.to_json()}
+    def to_json(self) -> dict:
+        """The tiling file for ``cli._json_text``: placements stay columns."""
+        return {**Torus(self.lattice).to_json(), "placements": self.placements}
 
 
 def _tile_templates(tileset: WangTileSet) -> np.ndarray:

@@ -230,17 +230,3 @@ def find_periodic(tileset: WangTileSet, max_cells: int):
                 return p, area // p, tiling
     return None
 
-
-THREE_TILE_JSON = {
-    "colors": ["red", "green", "yellow", "blue"],
-    "tiles": [
-        {"n": "red", "e": "yellow", "s": "red", "w": "green"},
-        {"n": "blue", "e": "red", "s": "blue", "w": "yellow"},
-        {"n": "yellow", "e": "green", "s": "yellow", "w": "red"},
-    ],
-}
-
-
-def example_three_tile_set() -> WangTileSet:
-    """The worked three-tile example set (explicit color order)."""
-    return WangTileSet.from_json(THREE_TILE_JSON)

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,15 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from polywang.compiler import compile_pieces
-from polywang.wang import WangTile, WangTileSet, example_three_tile_set, solve_torus
+from polywang.wang import WangTile, WangTileSet, solve_torus
+
+# The worked three-tile example set (explicit color order).
+THREE_TILE_PATH = Path(__file__).resolve().parent.parent / "data" / "three_tile_set.json"
+THREE_TILE_JSON = json.loads(THREE_TILE_PATH.read_text())
+
+
+def example_three_tile_set() -> WangTileSet:
+    return WangTileSet.from_json(THREE_TILE_JSON)
 
 
 @pytest.fixture(scope="session")

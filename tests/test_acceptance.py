@@ -11,7 +11,7 @@ import time
 import pytest
 
 import conftest
-from conftest import random_tileset
+from conftest import example_three_tile_set, random_tileset
 from polywang.blocks import (
     BLOCK,
     BUMP_KINDS,
@@ -39,7 +39,6 @@ from polywang.wang import (
     WangTile,
     WangTileSet,
     WangTiling,
-    example_three_tile_set,
     find_periodic,
     solve_torus,
     validate,

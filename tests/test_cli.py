@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polywang
+from conftest import THREE_TILE_JSON, THREE_TILE_PATH
 from polywang import cli, solver
-from polywang.wang import THREE_TILE_JSON
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +53,8 @@ t_filler         18 cells  bbox 3x10 at (0,0)  connected=True
 
 
 def test_info_output_pinned(tmp_path):
-    data = Path(__file__).resolve().parent.parent / "data" / "three_tile_set.json"
     pieces = tmp_path / "pieces.json"
-    assert _run("compile", data, "-o", pieces) == 0
+    assert _run("compile", THREE_TILE_PATH, "-o", pieces) == 0
     assert _run("info", pieces, "-o", tmp_path / "info.txt") == 0
     assert (tmp_path / "info.txt").read_bytes() == _THREE_TILE_INFO.encode()
 
@@ -154,9 +153,8 @@ _THREE_TILE_PIECES_SHA256 = \
 
 
 def test_compile_output_pinned(tmp_path):
-    data = Path(__file__).resolve().parent.parent / "data" / "three_tile_set.json"
     pieces = tmp_path / "pieces.json"
-    assert _run("compile", data, "-o", pieces) == 0
+    assert _run("compile", THREE_TILE_PATH, "-o", pieces) == 0
     assert hashlib.sha256(pieces.read_bytes()).hexdigest() == _THREE_TILE_PIECES_SHA256
 
 
@@ -207,7 +205,7 @@ def test_piece_file_round_trip_identical(workdir):
     first = pieces.read_text()
     source = WangTileSet.from_json(json.loads(first)["source"])
     back = SevenPieceSet(cli._load_polyominoes(str(pieces)), source)
-    again = json.dumps(back.to_json(), indent=1) + "\n"
+    again = cli._json_text(back.to_json()) + "\n"
     assert again == first
 
 
@@ -420,6 +418,7 @@ def test_render_grid_too_large_is_resource_limit(tmp_path, capsys):
     assert _run("render", tiling, "--pieces", pieces, "--grid", "-o", svg) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "4294967298 lines" in err
+    assert err.startswith("error: ") and "out of memory" not in err
     assert not svg.exists()
     assert _run("render", tiling, "--pieces", pieces, "-o", svg) == 0
     assert svg.read_text() == _FAR_APART_SVG
@@ -441,6 +440,7 @@ _MONO = [{"name": "m", "cells": [[0, 0]]}]
 _BAD_LABEL_SET = {**THREE_TILE_JSON, "tiles": [
     {**THREE_TILE_JSON["tiles"][0], "n": ["a"]}, *THREE_TILE_JSON["tiles"][1:]]}
 _BAD_PIECES = {"bare-number": 5,
+               "pieces-missing": {"n": 3},
                "cells-number": [{"name": "m", "cells": 5}],
                "cells-strings": [{"name": "m", "cells": [["a", "b"]]}],
                **{f"cells-{name}": [{"name": "m", "cells": [cell]}]
@@ -487,6 +487,7 @@ _INPUT_ERRORS = {
            "placement-string": ["m"],
            "placements-number": 5,
            "piece-unknown": [{"piece": "q", "at": [0, 0]}]}.items()},
+    "verify-placements-missing": ("verify", "tiling", {"rect": [1, 1]}),
     "compile-label-list": ("compile", "wang_set", _BAD_LABEL_SET),
     "solve-wang-label-list": ("solve-wang", "wang_set", _BAD_LABEL_SET),
     "simulate-one-tile-one-color": ("simulate", "wang_set", _ONE_TILE_SET),
@@ -498,6 +499,13 @@ _INPUT_ERRORS = {
     **{f"solve-poly-{mode}-limit-{limit}": (
         f"solve-poly --mode {mode} --limit {limit}", "pieces", _MONO)
        for mode in ("first", "count", "enumerate") for limit in (0, -1)},
+}
+
+# A missing key is named in a sentence, not as a bare KeyError ('pieces').
+_INPUT_ERROR_TEXT = {
+    **{f"{cmd}-pieces-missing": "pieces must be a list of piece entries"
+       for cmd in ("verify", "solve-poly", "render")},
+    "verify-placements-missing": "error: 'placements' must be a list",
 }
 
 
@@ -525,6 +533,7 @@ def test_malformed_input_is_input_error(tmp_path, capsys, case):
     assert _run(*argv, *options, "-o", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert _INPUT_ERROR_TEXT.get(case, "") in err
 
 
 @pytest.mark.parametrize("cmd", ["verify", "render"])

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polywang.geometry import (
@@ -144,6 +144,57 @@ def test_is_connected_matches_flood_fill(cells):
     assert is_connected(frozenset(cells)) == _bfs_connected(cells)
 
 
+def _serpentine(lows):
+    """Columns x = 0, 2, 4, ... up to one top row at least 8 rows above each
+    bottom, joined at alternating ends: at the top after an even column, and
+    at height lows[j] below columns 2j - 1 and 2j; column 0 ends at lows[0]."""
+    top = max(lows) + 7
+    bottoms = [lows[0]] + [low for low in lows[1:] for _ in (0, 1)]
+    cells = set()
+    for i, low in enumerate(bottoms):
+        cells |= {(2 * i, y) for y in range(low, top + 1)}
+        if i + 1 < len(bottoms):
+            cells.add((2 * i + 1, top if i % 2 == 0 else bottoms[i + 1]))
+    return cells
+
+
+def _interleaved_combs(lows):
+    """Two combs that share no edge.  One hangs a tooth down to 2 + lows[j]
+    at x = 4j from a spine on its top row, whose segments are bridged by
+    arches; the other stands its teeth at x = 4j + 2 on a spine along row 0."""
+    top = max(lows) + 5
+    cells = {(x, 0) for x in range(1, 4 * len(lows))}
+    for j, low in enumerate(lows):
+        x = 4 * j
+        cells |= {(x, y) for y in range(2 + low, top)}
+        cells |= {(x - 1, top), (x, top), (x + 1, top)}
+        cells |= {(x + 2, y) for y in range(1, top - 1)}
+        if j + 1 < len(lows):
+            cells |= {(x + 1, top + 1), (x + 1, top + 2), (x + 2, top + 2),
+                      (x + 3, top + 2), (x + 3, top + 1)}
+    return cells
+
+
+# Row-major run labels rise along a serpentine of stacked rows, so one round
+# of hooking joins it.  These go up and down: with the turns at ruler heights
+# below, the serpentine and the combs each take 4 rounds, as the n = 9, t = 2
+# encoder does.
+_RULER = [0, 3, 2, 3, 1, 3, 2, 3]
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=9))
+@example(_RULER)
+@settings(max_examples=100)
+def test_connectivity_over_many_hook_rounds(lows):
+    cells = _serpentine(lows)
+    assert _bfs_connected(cells) and is_connected(cells)
+    assert Polyomino(cells, "serpentine").canonical_cells() == canonical(cells)
+    combs = _interleaved_combs(lows)
+    assert not _bfs_connected(combs) and not is_connected(combs)
+    with pytest.raises(GeometryError, match="not edge-connected"):
+        Polyomino(combs, "combs")
+
+
 _JSON_CELLS = st.lists(
     st.lists(st.sampled_from([0, 1, -1, COORD_BOUND - 1, COORD_BOUND,
                               -COORD_BOUND + 1, -COORD_BOUND, 2 ** 70,
@@ -194,10 +245,10 @@ def test_polyomino_to_json_lists_cells_in_canonical_order(cells):
     piece = Polyomino(frozenset({(-6, y) for y in range(-5, 6)}
                                 | {(i, y) for x, y in cells for i in range(-6, x + 1)}),
                       "comb")
-    assert piece.to_json() == {"name": "comb",
-                               "cells": [list(c) for c in canonical(piece.cells)]}
-    assert piece.to_json()["cells"] == sorted(piece.to_json()["cells"],
-                                              key=lambda c: (c[1], c[0]))
+    entry = piece.to_json()
+    cells = entry["cells"].tolist()
+    assert entry["name"] == "comb" and cells == [list(c) for c in canonical(piece.cells)]
+    assert cells == sorted(cells, key=lambda c: (c[1], c[0]))
 
 
 def test_bounding_box():
