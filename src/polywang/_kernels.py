@@ -1,5 +1,4 @@
-"""Verification kernels in numpy: lattice reduction, and coverage counting
-from row runs."""
+"""Verification kernels in numpy: lattice reduction."""
 
 from __future__ import annotations
 
@@ -15,15 +14,6 @@ def reduce_points(xs, ys, a, b, c):
     yr = ys - k * b
     xr = np.mod(xs - k * c, a)
     return xr, yr
-
-
-def coverage_counts(starts, ends, diff):
-    """Add one to ``diff`` at the flat index where each row run starts and
-    take one off where it ends, in time linear in the number of runs; a
-    prefix sum of ``diff`` then counts the runs covering each cell."""
-    one = diff.dtype.type(1)  # a Python 1 would make np.add.at cast per index
-    np.add.at(diff, starts, one)
-    np.subtract.at(diff, ends, one)
 
 
 def backend() -> str:

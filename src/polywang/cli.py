@@ -205,8 +205,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _placements(obj: dict) -> solver.Placements:
-    if not isinstance(placements := obj.get("placements"), list):
+def _placements(obj) -> solver.Placements:
+    placements = obj.get("placements") if isinstance(obj, dict) else None
+    if not isinstance(placements, list):
         raise CliError("'placements' must be a list")
     return solver.Placements.from_json(placements)
 
@@ -223,7 +224,7 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     obj = _load_json(args.input)
     spec = render.RenderSpec(cell_size=args.cell_size, grid=args.grid)
-    if isinstance(obj, dict) and "placements" in obj:
+    if args.pieces or isinstance(obj, dict) and "placements" in obj:
         # Only the placements are drawn, so torus and rect tilings render alike.
         if not args.pieces:
             raise CliError("rendering a tiling needs --pieces")

@@ -5,8 +5,9 @@ explicit stack and is meant for small regions.  It memoises each finished
 subtree's solution and node counts on the covered-cell bitmask, for at most
 ``_MEMO_CAP`` masks, as in Knuth, TAOCP Vol. 4B, 7.2.2.1.  ``check_tiling``
 verifies a given placement list and is the workhorse for simulator output.  It
-counts coverage from each piece's row runs, +1 where a placed run starts and -1
-just past its end, then one prefix sum over the region's cells.
+turns each placed row run into flat cell intervals and sorts their starts and
+ends, and sweeps over them (after Bentley's note on Klee's measure problem);
+no array it builds is sized by the area.
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ class Rectangle:
         end = np.where(inside, np.clip(xs + lengths, 0, self.width), start)
         return row + start, row + end, np.zeros_like(start)
 
-    def index_bound(self, big_x: int, big_y: int) -> int:
-        """Largest |value| ``index`` computes for |x| <= big_x, |y| <= big_y."""
-        return max(big_y * self.width + big_x, self.area)
-
     def to_json(self) -> dict:
         return {"rect": [self.width, self.height]}
 
@@ -107,12 +104,6 @@ class Torus:
         wraps, xe = np.divmod(xr + lengths, self.width)
         row = yr * self.width
         return row + xr, row + xe, wraps
-
-    def index_bound(self, big_x: int, big_y: int) -> int:
-        """Largest |value| ``index`` computes for |x| <= big_x, |y| <= big_y:
-        |x - k * c| and |k * b| for k = y // b, and the flat index."""
-        a, b, c = self.lattice.hnf
-        return max(big_x + (big_y // b + 1) * c, big_y + b, self.area)
 
     def to_json(self) -> dict:
         return {"lattice": [list(self.lattice.b1), list(self.lattice.b2)]}
@@ -229,19 +220,33 @@ def _row_runs(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xy[first], np.diff(first, append=len(xy))
 
 
+def _intervals(start, end, wraps, width: int):
+    """Non-empty flat [lo, hi) intervals that cover each cell as often as the
+    runs (start, end, wraps) from ``region.runs`` do."""
+    start, end, wraps = start.ravel(), end.ravel(), wraps.ravel()
+    row = start // width * width
+    seam = end < start  # [start, row end) and [row start, end), one wrap less
+    whole = np.repeat(row, wraps - seam)
+    lo = np.concatenate([start, row[seam], whole])
+    hi = np.concatenate([np.where(seam, row + width, end), end[seam], whole + width])
+    keep = lo < hi
+    return lo[keep], hi[keep]
+
+
 def check_tiling(region: Region, pieces: Iterable[Polyomino],
                  placements: Placements | Sequence[Placement]) -> CoverReport:
-    """Coverage multiplicity per region cell; reports gaps and double covers.
+    """Exact-cover check from sorted run endpoints; reports gaps and double covers.
 
     Each piece splits once into row runs.  A batch (whole placements of one
     piece, at most ``_BATCH_POINTS`` placed points, or one placement of a
     larger piece) places its runs, and ``region.runs`` gives each run's flat
-    [start, end) in the region, clipped to a rectangle or wrapped round a
-    torus row.  The count pass adds +1 at each start and -1 at each end; one
-    prefix sum then gives every cell's count.  Memory is bounded by the
-    region's count array, not by placements x piece size.  Points are
-    materialised only for placements with a run that leaves a rectangle or,
-    when some cell is covered twice, touches such a cell.
+    [start, end), clipped to a rectangle or wrapped round a torus row: one or
+    more flat intervals.  The cover is exact iff the sorted starts and ends
+    chain from 0 to the area.  Else a sweep over starts (+1) and ends (-1)
+    gives each segment's coverage.  Memory is bounded by the number of runs,
+    not by the area or by placements x piece size.  Points are materialised
+    only for placements with a run that leaves a rectangle or meets a segment
+    covered twice.
     """
     table = piece_map(pieces)
     placements = Placements.of(placements)
@@ -251,21 +256,11 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
     # A torus moves each offset into its fundamental domain, once.
     at = (np.column_stack(_kernels.reduce_points(*placements.at.T, *region.lattice.hnf))
           if isinstance(region, Torus) else placements.at)
-    far = np.abs(at).max(axis=0, initial=0)
-    big_x, big_y = np.max([far + np.abs(table[name].xy).max(axis=0)
-                           for name in placements.names] or [far], axis=0).tolist()
-    runs = [_row_runs(table[name].xy) for name in placements.names]
-    longest = max([lengths.max() for _, lengths in runs], default=0)
-    # Points in int32 when every value region.index and region.runs compute
-    # on them fits: a run's end passes its start by at most its length.
-    bound = region.index_bound(big_x, big_y) + int(longest)
-    dtype = np.int32 if bound < 2 ** 31 else np.int64
-    ox, oy = at.T.astype(dtype)
-
+    ox, oy = at.T
     # Per piece: its x and y columns, its runs' first x, first y and length,
     # and its placements' ids, in file order.
-    shapes = [(*table[name].xy.T.astype(dtype), *first.T.astype(dtype),
-               lengths.astype(dtype), np.flatnonzero(placements.piece == k))
+    runs = [_row_runs(table[name].xy) for name in placements.names]
+    shapes = [(*table[name].xy.T, *first.T, lengths, np.flatnonzero(placements.piece == k))
               for k, (name, (first, lengths)) in enumerate(zip(placements.names, runs))]
 
     def batches():
@@ -283,48 +278,57 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
         xs, ys = (ox[ids, None] + cx).ravel(), (oy[ids, None] + cy).ravel()
         return xs, ys, region.index(xs, ys)
 
-    # Count changes along the flat cells, and one past the last.  The count
-    # of a cell cannot pass the number of placed points, so the narrowest
-    # signed dtype that holds that number gives every count; the changes
-    # may wrap on the way, as a sum of them mod 2**bits is still exact.
-    placed = sum(len(cx) * len(pids) for cx, *_, pids in shapes)
-    try:
-        diff = np.zeros(region.area + 1, dtype=np.min_scalar_type(-placed - 1))
-    except ValueError as exc:  # more bytes than numpy can address
-        raise MemoryError(str(exc)) from None
-    width = region.width
+    width, area = region.width, region.area
+    starts, ends = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     outside: list[Cell] = []
     for ids, cx, cy, rl, (start, end, wraps) in batches():
-        _kernels.coverage_counts(start.ravel(), end.ravel(), diff)
-        if wraps.any():  # the whole torus row once per wrap (see Torus.runs)
-            rows = np.repeat(start[wraps > 0] // width * width, wraps[wraps > 0])
-            _kernels.coverage_counts(rows, rows + width, diff)
+        lo, hi = _intervals(start, end, wraps, width)
+        starts.append(lo)
+        ends.append(hi)
         cut = (end - start + wraps * width < rl).any(axis=1)
         if cut.any():  # never on a torus
             xs, ys, idx = cells_of(ids[cut], cx, cy)
             off = idx < 0
             outside.extend(zip(xs[off].tolist(), ys[off].tolist()))
-    counts = np.cumsum(diff, dtype=diff.dtype, out=diff)[:-1]
+    starts, ends = np.concatenate(starts), np.concatenate(ends)
+    starts.sort()
+    ends.sort()
+    if (len(starts) and starts[0] == 0 and ends[-1] == area
+            and np.array_equal(starts[1:], ends[:-1])):
+        return CoverReport((), (), canonical(outside))
 
-    uncovered = tuple((v % width, v // width)
-                      for v in np.flatnonzero(counts == 0).tolist())
+    # Segment [edges[i], edges[i + 1]) is covered cover[i] times; events at 0
+    # and the area bound the first and the last.
+    events = np.concatenate([starts, ends, [0, area]])
+    order = np.argsort(events, kind="stable")
+    edges = events[order]
+    cover = np.cumsum(np.repeat([1, -1, 0], [len(starts), len(ends), 2])[order])[:-1]
+    cover[edges[:-1] == edges[1:]] = 1  # an empty segment is neither gap nor hot
+    seg_lo, size = edges[:-1][cover == 0], np.diff(edges)[cover == 0]
+    try:  # list the uncovered cells, segment by segment
+        gaps = np.arange(size.sum()) + np.repeat(seg_lo - np.cumsum(size) + size, size)
+    except ValueError as exc:  # more bytes than numpy can address
+        raise MemoryError(str(exc)) from None
+    ys, xs = np.divmod(gaps, width)
+    uncovered = tuple(zip(xs.tolist(), ys.tolist()))
 
     overlaps: list[tuple[Cell, int, int]] = []
-    if counts.max() > 1:
-        # The count array, done with, becomes hot[v]: the number of cells
-        # before v covered more than once, at most half the placed points.
-        hot = diff
-        np.cumsum(counts > 1, dtype=hot.dtype, out=hot[1:])
-        hot[0] = 0
+    if (cover > 1).any():
+        # Sorted hot segments (covered twice or more), and the area past them.
+        hot_lo, hot_hi = np.append(edges[:-1][cover > 1], area), edges[1:][cover > 1]
+
+        def hot(lo, hi):  # whether [lo, hi), lo < hi, meets a hot segment
+            return hot_lo[np.searchsorted(hot_hi, lo, side="right")] < hi
+
         hot_idx, hot_owner = [], []
         for ids, cx, cy, _, (start, end, wraps) in batches():
             # A run that wraps may touch any cell of its row.
             lo = np.where(wraps > 0, start // width * width, start)
             hi = np.where(wraps > 0, lo + width, end)
-            ids = ids[(hot[hi] > hot[lo]).any(axis=1)]
+            # An empty run may read as hot: its cells are filtered below.
+            ids = ids[hot(lo, hi).any(axis=1)]
             _, _, idx = cells_of(ids, cx, cy)
-            # Index -1 (outside a rectangle) reads hot[0] > hot[-1]: false.
-            keep = hot[idx + 1] > hot[idx]
+            keep = hot(idx, idx + 1)  # index -1, outside a rectangle, is not
             hot_idx.append(idx[keep])
             hot_owner.append(np.repeat(ids, len(cx))[keep])
         idx, owner = np.concatenate(hot_idx), np.concatenate(hot_owner)

@@ -351,7 +351,7 @@ def test_malformed_placement_is_input_error(workdir, capsys, at):
     {"lattice": [[2000000000, 0], [0, 2000000000]]},
 ])
 def test_region_too_large_is_resource_limit(tmp_path, capsys, region):
-    # 4e18 cells: the count array is larger than any address space.
+    # 4e18 cells: the list of uncovered ones is larger than any address space.
     pieces = tmp_path / "mono.json"
     pieces.write_text(json.dumps([{"name": "m", "cells": [[0, 0]]}]))
     tiling = tmp_path / "huge.json"
@@ -364,8 +364,8 @@ def test_region_too_large_is_resource_limit(tmp_path, capsys, region):
 
 
 def test_region_too_large_for_wide_counts_is_resource_limit(tmp_path, capsys):
-    # 70,000 placed points need counts wider than a byte: 4e18 of them take
-    # more bytes than numpy can address, which it refuses with a ValueError.
+    # 4e18 uncovered cells take more bytes than numpy can address, which it
+    # refuses with a ValueError: still a resource limit, not an input error.
     pieces = tmp_path / "bar.json"
     pieces.write_text(json.dumps([{"name": "bar",
                                    "cells": [[x, 0] for x in range(70000)]}]))
@@ -488,6 +488,7 @@ _INPUT_ERRORS = {
            "placements-number": 5,
            "piece-unknown": [{"piece": "q", "at": [0, 0]}]}.items()},
     "verify-placements-missing": ("verify", "tiling", {"rect": [1, 1]}),
+    "render-tiling-placements-missing": ("render-tiling", "tiling", {"rect": [1, 1]}),
     "compile-label-list": ("compile", "wang_set", _BAD_LABEL_SET),
     "solve-wang-label-list": ("solve-wang", "wang_set", _BAD_LABEL_SET),
     "simulate-one-tile-one-color": ("simulate", "wang_set", _ONE_TILE_SET),
@@ -506,6 +507,7 @@ _INPUT_ERROR_TEXT = {
     **{f"{cmd}-pieces-missing": "pieces must be a list of piece entries"
        for cmd in ("verify", "solve-poly", "render")},
     "verify-placements-missing": "error: 'placements' must be a list",
+    "render-tiling-placements-missing": "'placements' must be a list",
 }
 
 

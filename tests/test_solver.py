@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import cache
 from itertools import count, islice
 from math import cos, pi, prod
@@ -491,6 +492,9 @@ _RUN_PIECES = (*(Polyomino(frozenset((x, 0) for x in range(n)), f"bar{n}")
                                                Placement("U", (-1, -3))])
 @example(Rectangle(3, 2), [Placement("bar7", (-2, 1)), Placement("bar3", (0, -1)),
                            Placement("bar2", (2, 0)), Placement("U", (1, 0))])
+# Runs of whole rows: each ends where it starts and wraps its row.
+@example(Torus(TorusLattice((3, 0), (0, 2))), [Placement("bar6", (0, 0)),
+                                               Placement("bar3", (1, 1))])
 @settings(max_examples=300, deadline=None)
 def test_check_tiling_row_runs_match_owner_oracle(batch_points, region, placements):
     with mock.patch.object(solver, "_BATCH_POINTS", batch_points):
@@ -512,6 +516,22 @@ def test_check_tiling_piece_wrapped_round_tiny_torus():
     ring = check_tiling(Torus(TorusLattice((2, 0), (0, 1))), (bar3,),
                         [Placement("bar3", (0, 0))])
     assert ring.uncovered == () and ring.overlaps == (((0, 0), 0, 0),)
+
+
+def test_check_tiling_memory_is_not_sized_by_area():
+    # 10**4 bars of 1000 cells cover a 10**7-cell torus, one row each: the
+    # check holds an interval per run, not a count per cell.
+    bar = Polyomino(frozenset((x, 0) for x in range(1000)), "bar")
+    placements = Placements.of([Placement("bar", (0, y)) for y in range(10 ** 4)])
+    region = Torus(TorusLattice((1000, 0), (0, 10 ** 4)))
+    tracemalloc.start()
+    try:
+        report = check_tiling(region, (bar,), placements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.exact
+    assert peak < 8 * 2 ** 20
 
 
 _FAR = COORD_BOUND - 1
