@@ -3,8 +3,8 @@
 Every block is a 10x10 functional square, possibly with a bump protruding
 outside the frame or a dent/slot carved out of it.  The whole catalogue is
 derived from one table of bump/dent pairs (each bump's outline and where
-its dent block sits) and the two slot anchors; outlines are rectilinear
-polygons rasterized once at import time.  Blocks are anchored at their
+its dent block sits) and the two slot anchors; the outlines are fixed
+vertex tuples, rasterized once at import time.  Blocks are anchored at their
 southwest frame corner.
 """
 
@@ -12,16 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .geometry import (
-    CellSet,
-    RectilinearPolygon,
-    Vec,
-    cell_array,
-    rasterize,
-    translate,
-)
+from .geometry import CellSet, Vec, cell_array, rasterize, translate
 
 BLOCK = 10  # frame edge length in unit cells
 
@@ -45,9 +38,9 @@ class BlockKind(Enum):
 
 SQUARE: CellSet = frozenset((x, y) for x in range(BLOCK) for y in range(BLOCK))
 
-SLOT_CELLS = rasterize(RectilinearPolygon(  # the l-slot
+SLOT_CELLS = rasterize(  # the l-slot
     ((1, 0), (1, 10), (2, 10), (2, 9), (4, 9), (4, 6), (3, 6), (3, 8),
-     (2, 8), (2, 2), (3, 2), (3, 4), (4, 4), (4, 1), (2, 1), (2, 0))))
+     (2, 8), (2, 2), (3, 2), (3, 4), (4, 4), (4, 1), (2, 1), (2, 0)))
 TAB_CELLS = translate(SLOT_CELLS, (-1, 0))       # tab with its own origin at x=0
 
 # Each bump kind, its dent kind, the offset of the dent block's frame from
@@ -89,7 +82,7 @@ class BlockGeometry:
     dent_dir: Vec | None = None
     bump_dir: Vec | None = None
 
-    @property
+    @cached_property
     def cells(self) -> CellSet:
         return self.base | self.protrusion
 
@@ -105,7 +98,7 @@ def _derive_catalog():
                BlockKind.TAB: BlockGeometry(TAB_CELLS)}
     partners = {}
     for bump, dent, (dx, dy), outline in _PAIRS:
-        cells = rasterize(RectilinearPolygon(outline))
+        cells = rasterize(outline)
         hole = translate(cells, (-dx, -dy))  # the bump seen from the dent block
         sx, sy = (dx > 0) - (dx < 0), (dy > 0) - (dy < 0)
         catalog[bump] = BlockGeometry(SQUARE, protrusion=cells, bump_dir=(sx, sy))
@@ -133,7 +126,6 @@ def geometry(kind: BlockKind) -> BlockGeometry:
     return _CATALOG[kind]
 
 
-@lru_cache(maxsize=None)
 def block_cells(kind: BlockKind) -> CellSet:
     return _CATALOG[kind].cells
 

@@ -17,7 +17,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import compiler, render, simulate, solver, wang
-from .geometry import GeometryError, Polyomino, TorusLattice, bounding_box
+from .geometry import (COORD_BOUND, GeometryError, Polyomino, TorusLattice,
+                       bounding_box)
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
@@ -35,7 +36,9 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers malformed JSON and undecodable bytes; RecursionError,
+    # arrays or objects nested too deep to decode.
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
 
 
@@ -106,8 +109,9 @@ def _rows(obj, end: str):
 def _json_text(obj, end: str = "\n") -> str:
     """``json.dumps(obj, indent=1)`` for dicts with str keys, lists, str,
     int, bool and None, where an int array of shape (k,) or (k, 2) stands
-    for its ``tolist()`` and a ``solver.Placements`` for its ``to_json()``.
-    ``end`` is a newline plus obj's own indent."""
+    for its ``tolist()`` and a ``solver.Placements`` for its records
+    ``{"piece": name, "at": [x, y]}`` in order.  ``end`` is a newline plus
+    obj's own indent."""
     if type(obj) in _SCALARS:
         return _SCALARS[type(obj)](obj)
     if not (isinstance(obj, (dict, list, solver.Placements))
@@ -153,11 +157,20 @@ def cmd_solve_wang(args) -> int:
     return EXIT_OK
 
 
+def _bounded(flag: str, values: list[int]) -> list[int]:
+    """A flag's values, each of magnitude below COORD_BOUND, as a tiling
+    file's "rect" and "lattice" entries must be."""
+    if any(abs(v) >= COORD_BOUND for v in values):
+        raise CliError(f"{flag} values must be of magnitude below 2**31, "
+                       f"got {' '.join(map(str, values))}")
+    return values
+
+
 def _parse_region(args) -> solver.Region:
     if args.rect:
-        return solver.Rectangle(args.rect[0], args.rect[1])
+        return solver.Rectangle(*_bounded("--rect", args.rect))
     if args.torus_lattice:
-        x1, y1, x2, y2 = args.torus_lattice
+        x1, y1, x2, y2 = _bounded("--torus-lattice", args.torus_lattice)
         return solver.Torus(TorusLattice((x1, y1), (x2, y2)))
     raise CliError("need --rect W H or --torus-lattice X1 Y1 X2 Y2")
 

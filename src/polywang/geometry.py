@@ -1,4 +1,5 @@
-"""Integer-lattice cell sets, rectilinear polygons, and torus quotients.
+"""Integer-lattice cell sets, the rasterization of fixed outlines, and torus
+quotients.
 
 All coordinates are unit cells (x, y) with y growing northward.  Cell sets
 are plain frozensets of (x, y) tuples, or int64 (k, 2) arrays of (x, y)
@@ -24,7 +25,7 @@ COORD_BOUND = 2 ** 31
 
 
 class GeometryError(ValueError):
-    """Invalid polygon or degenerate lattice."""
+    """Invalid outline, piece or lattice."""
 
 
 def canonical(cells: Iterable[Cell]) -> tuple[Cell, ...]:
@@ -113,113 +114,34 @@ def is_connected(cells: Iterable[Cell]) -> bool:
     return len(xy) > 0 and _connected_rows(xy) is not None
 
 
-@dataclass(frozen=True)
-class RectilinearPolygon:
-    """A simple rectilinear polygon with integer vertices.
+def rasterize(outline: tuple[Cell, ...]) -> CellSet:
+    """Cells whose centers lie inside a closed outline (even-odd rule): its
+    integer vertices listed cyclically, each edge horizontal or vertical.
 
-    Vertices are listed cyclically; consecutive edges must alternate between
-    horizontal and vertical.
+    Cell centers never sit on such an edge, so the even-odd scanline over
+    the vertical edges is exact.  A cell count that differs from the
+    shoelace area raises GeometryError: the two count the cells of most
+    outlines that cross or retrace themselves differently.
     """
-
-    vertices: tuple[Cell, ...]
-
-    def __post_init__(self):
-        v = tuple(tuple(p) for p in self.vertices)
-        object.__setattr__(self, "vertices", v)
-        if len(v) < 4:
-            raise GeometryError("polygon needs at least 4 vertices")
-        if len(set(v)) != len(v):
-            raise GeometryError("repeated vertex")
-        for a, b in self._edges():
-            if a[0] != b[0] and a[1] != b[1]:
-                raise GeometryError(f"edge {a}-{b} is not axis-parallel")
-            if a == b:
-                raise GeometryError("zero-length edge")
-        edges = self._edges()
-        for i in range(len(edges)):
-            (a, b), (c, d) = edges[i], edges[(i + 1) % len(edges)]
-            if (a[0] == b[0]) == (c[0] == d[0]):
-                raise GeometryError("consecutive edges do not alternate")
-        self._check_simple()
-
-    def _edges(self) -> list[tuple[Cell, Cell]]:
-        v = self.vertices
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-
-    def _check_simple(self):
-        edges = self._edges()
-        k = len(edges)
-        for i in range(k):
-            for j in range(i + 1, k):
-                adjacent = j == i + 1 or (i == 0 and j == k - 1)
-                if _segments_touch(edges[i], edges[j], allow_endpoint=adjacent):
-                    raise GeometryError("polygon is not simple")
-
-    def shoelace_area(self) -> int:
-        v = self.vertices
-        s = 0
-        for i in range(len(v)):
-            x0, y0 = v[i]
-            x1, y1 = v[(i + 1) % len(v)]
-            s += x0 * y1 - x1 * y0
-        area2 = abs(s)
-        if area2 % 2:
-            raise GeometryError("non-integer area")
-        return area2 // 2
-
-
-def _segments_touch(e1, e2, allow_endpoint: bool) -> bool:
-    """Intersection test for axis-parallel segments."""
-    (a, b), (c, d) = e1, e2
-
-    def span(p, q, axis):
-        lo, hi = sorted((p[axis], q[axis]))
-        return lo, hi
-
-    ax0, ax1 = span(a, b, 0)
-    ay0, ay1 = span(a, b, 1)
-    bx0, bx1 = span(c, d, 0)
-    by0, by1 = span(c, d, 1)
-    if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
-        return False
-    # Overlapping boxes: adjacent edges may meet at the shared vertex only.
-    if allow_endpoint:
-        shared = {a, b} & {c, d}
-        if len(shared) == 1:
-            p = shared.pop()
-            # Touching anywhere beyond the shared point means overlap.
-            ox0, ox1 = max(ax0, bx0), min(ax1, bx1)
-            oy0, oy1 = max(ay0, by0), min(ay1, by1)
-            return not (ox0 == ox1 == p[0] and oy0 == oy1 == p[1])
-    return True
-
-
-def rasterize(poly: RectilinearPolygon) -> CellSet:
-    """Cells whose centers lie inside the polygon (even-odd rule).
-
-    Integer vertices mean cell centers never sit on an edge, so the even-odd
-    scanline count is exact; the result size equals the shoelace area.
-    """
-    verts = poly.vertices
+    edges = list(zip(outline, outline[1:] + outline[:1]))
     vertical = []
-    for i in range(len(verts)):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
-        if a[0] == b[0]:
-            lo, hi = sorted((a[1], b[1]))
-            vertical.append((a[0], lo, hi))
-    ymin = min(y for _, y in verts)
-    ymax = max(y for _, y in verts)
+    for (x0, y0), (x1, y1) in edges:
+        if x0 == x1:
+            vertical.append((x0, min(y0, y1), max(y0, y1)))
+        elif y0 != y1:
+            raise GeometryError(f"edge {(x0, y0)}-{(x1, y1)} is not axis-parallel")
+    ys = [y for _, y in outline]
     cells = set()
-    for y in range(ymin, ymax):
-        cy = y + 0.5
-        xs = sorted(x for x, lo, hi in vertical if lo < cy < hi)
-        for i in range(0, len(xs), 2):
-            for x in range(xs[i], xs[i + 1]):
-                cells.add((x, y))
-    result = frozenset(cells)
-    if len(result) != poly.shoelace_area():
-        raise GeometryError("rasterization does not match shoelace area")
-    return result
+    for y in range(min(ys), max(ys)):
+        # The edges that the line through the row's centers, y + 0.5, crosses.
+        xs = sorted(x for x, lo, hi in vertical if lo <= y < hi)
+        for start, end in zip(xs[::2], xs[1::2]):
+            cells.update((x, y) for x in range(start, end))
+    area = abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges)) // 2
+    if len(cells) != area:
+        raise GeometryError(f"outline covers {len(cells)} cells, "
+                            f"but its shoelace area is {area}")
+    return frozenset(cells)
 
 
 @dataclass(frozen=True)

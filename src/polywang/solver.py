@@ -176,10 +176,6 @@ class Placements:
     def __iter__(self) -> Iterator[Placement]:
         return map(Placement, self.piece_names(), map(tuple, self.at.tolist()))
 
-    def to_json(self) -> list[dict]:
-        pairs = zip(self.piece_names(), self.at.tolist())
-        return [*map(dict, map(zip, repeat(("piece", "at")), pairs))]
-
 
 @dataclass(frozen=True)
 class CoverReport:

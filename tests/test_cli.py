@@ -130,7 +130,9 @@ _PLACEMENTS = st.lists(st.tuples(_JSON_STRINGS, st.tuples(st.integers(-5, 5),
 
 
 def _as_json(obj):
-    return obj.tolist() if isinstance(obj, np.ndarray) else obj.to_json()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return [{"piece": pl.piece, "at": list(pl.at)} for pl in obj]
 
 
 @given(st.recursive(_JSON_SCALARS | _INT_ARRAYS | _PLACEMENTS,
@@ -511,19 +513,27 @@ _INPUT_ERROR_TEXT = {
 }
 
 
+# A valid file of each kind a subcommand reads.
+_VALID_INPUTS = {"pieces": _MONO, "wang_set": THREE_TILE_JSON,
+                 "tiling": {"rect": [1, 1],
+                            "placements": [{"piece": "m", "at": [0, 0]}]},
+                 "wang_tiling": {"p": 1, "q": 1, "torus": True, "cells": [0]}}
+
+
+def _write_inputs(tmp_path, **replaced) -> dict:
+    """Each input as a JSON file, valid but for the ones ``replaced``."""
+    path = {}
+    for name, obj in {**_VALID_INPUTS, **replaced}.items():
+        path[name] = tmp_path / f"{name}.json"
+        path[name].write_text(json.dumps(obj))
+    return path
+
+
 @pytest.mark.parametrize("case", list(_INPUT_ERRORS))
 def test_malformed_input_is_input_error(tmp_path, capsys, case):
     cmd, replaced, bad = _INPUT_ERRORS[case]
     cmd, *options = cmd.split()
-    files = {"pieces": _MONO, "wang_set": THREE_TILE_JSON,
-             "tiling": {"rect": [1, 1],
-                        "placements": [{"piece": "m", "at": [0, 0]}]},
-             "wang_tiling": {"p": 1, "q": 1, "torus": True, "cells": [0]},
-             replaced: bad}
-    path = {}
-    for name, obj in files.items():
-        path[name] = tmp_path / f"{name}.json"
-        path[name].write_text(json.dumps(obj))
+    path = _write_inputs(tmp_path, **{replaced: bad})
     argv = {"verify": ["verify", path["pieces"], path["tiling"]],
             "solve-poly": ["solve-poly", path["pieces"], "--rect", 1, 1],
             "render": ["render", path["pieces"]],
@@ -550,3 +560,52 @@ def test_first_unknown_piece_in_file_order(tmp_path, capsys, cmd):
     capsys.readouterr()
     assert _run(*argv, "-o", tmp_path / "out") == 2
     assert capsys.readouterr().err == "input error: unknown piece 'zz'\n"
+
+
+# Each subcommand's JSON inputs: BAD is the file under test, the others are
+# valid.
+_JSON_READERS = {
+    "compile": "compile BAD",
+    "solve-wang": "solve-wang BAD --torus 1 1",
+    "solve-poly": "solve-poly BAD --rect 1 1",
+    "simulate-set": "simulate BAD wang_tiling",
+    "simulate-tiling": "simulate wang_set BAD",
+    "verify-pieces": "verify BAD tiling",
+    "verify-tiling": "verify pieces BAD",
+    "render": "render BAD",
+    "render-pieces": "render tiling --pieces BAD",
+    "info": "info BAD",
+}
+# Files from which no JSON value can be read, and which json.dumps cannot
+# write: arrays nested deeper than the decoder recurses, and bytes that are
+# not UTF-8.
+_UNREADABLE = {"deep": ("[" * 10 ** 5 + "]" * 10 ** 5).encode(),
+               "binary": b"\xff\xfe\x00\x9c binary"}
+
+
+@pytest.mark.parametrize("content", list(_UNREADABLE))
+@pytest.mark.parametrize("case", list(_JSON_READERS))
+def test_unreadable_json_is_input_error_naming_the_file(tmp_path, capsys, case, content):
+    path = _write_inputs(tmp_path)
+    path["BAD"] = tmp_path / "bad.json"
+    path["BAD"].write_bytes(_UNREADABLE[content])
+    argv = [path.get(word, word) for word in _JSON_READERS[case].split()]
+    capsys.readouterr()
+    assert _run(*argv, "-o", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: cannot read {path['BAD']}: ")
+
+
+@pytest.mark.parametrize("flag, values", [("--rect", (10 ** 20, 1)),
+                                          ("--torus-lattice", (2 ** 31, 0, 0, 1))])
+def test_region_flag_past_coord_bound_is_input_error(tmp_path, capsys, flag, values):
+    pieces = _write_inputs(tmp_path)["pieces"]
+    capsys.readouterr()
+    assert _run("solve-poly", pieces, flag, *values, "--mode", "count") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {flag} values must be of magnitude below 2**31")
+    # Within the bound, a region too large to search is a resource limit.
+    assert _run("solve-poly", pieces, "--rect", 10 ** 5, 10 ** 5, "--mode", "count") == 3
+    assert capsys.readouterr().err.startswith("error: out of memory: ")
