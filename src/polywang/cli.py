@@ -331,7 +331,7 @@ def run(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except render.GridLimitError as exc:
+    except (render.GridLimitError, solver.RegionLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (wang.WangInputError, compiler.CompileError, GeometryError,

@@ -1,7 +1,8 @@
 """Translational exact-cover tiling engine and linear tiling checker.
 
-``solve`` runs Knuth's Algorithm X (fewest-candidates cell selection) on an
-explicit stack and is meant for small regions.  It memoises each finished
+``solve`` runs Knuth's Algorithm X on an explicit stack, in regions of at most
+``_REGION_CAP`` cells.  Count mode branches on the first uncovered cell, first
+and enumerate on the cell with fewest candidates.  It memoises each finished
 subtree's solution and node counts on the covered-cell bitmask, for at most
 ``_MEMO_CAP`` masks, as in Knuth, TAOCP Vol. 4B, 7.2.2.1.  ``check_tiling``
 verifies a given placement list and is the workhorse for simulator output.  It
@@ -25,13 +26,20 @@ from .geometry import (Cell, CellSet, Polyomino, TorusLattice, Vec, canonical,
 
 SolveMode = Literal["first", "count", "enumerate"]
 _BATCH_POINTS = 1 << 18  # placed points check_tiling materialises at a time
-# Covered-cell masks solve memoises, at most: about 9.6 MB of heap when full
-# (tracemalloc, 8x8 rectangle, L and J trominoes and both dominoes).
+# Covered-cell masks solve memoises, at most: about 160 B of heap each, 10 MB in
+# all (tracemalloc: 6.9 MB for the 42,975 masks of the 10x10 {L, J, h, v} count).
 _MEMO_CAP = 1 << 16
+# Cells of the largest region build_universe takes: solve holds an area-bit mask
+# a placement, 0.14 B per cell squared for {h, m} (tracemalloc), 40 MB here.
+_REGION_CAP = 1 << 14
 
 
 class SolverInputError(ValueError):
     pass
+
+
+class RegionLimitError(RuntimeError):
+    """A region of more than _REGION_CAP cells was given to build_universe."""
 
 
 class SearchLimitError(RuntimeError):
@@ -370,6 +378,9 @@ def build_universe(region: Region, pieces: Sequence[Polyomino]) -> PlacementUniv
     """Anchor each piece's first canonical cell at every region cell in
     turn; keep the placements whose cells are inside and pairwise distinct."""
     piece_map(pieces)  # uniqueness check
+    if region.area > _REGION_CAP:
+        raise RegionLimitError(f"a region of {region.area} cells is over the "
+                               f"search limit of {_REGION_CAP} cells")
     uni = PlacementUniverse(region, tuple(pieces))
     ry, rx = np.indices((region.height, region.width)).reshape(2, -1)
     for piece in uni.pieces:
@@ -412,13 +423,15 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
     """Exhaustive exact-cover search over the placement universe.
 
     Knuth's Algorithm X on an explicit stack, so Python's recursion limit
-    does not cap the depth.  ``size[cell]`` counts the live placements on a
-    cell and ``dead[pid]`` the chosen placements that share a cell with pid;
-    select and deselect keep both up to date.  Deterministic: the first
-    uncovered cell with at most one live candidate is chosen, else the one
-    with fewest (ties by lowest linear index), and candidates branch in
-    canonical order.  ``limit`` keeps the first solutions in that order;
-    ``max_nodes`` bounds the search nodes below the root and raises
+    does not cap the depth.  Candidates branch in canonical order on a
+    deterministic cell.  Count mode takes the first uncovered cell, whose
+    live candidates have no bit in the covered-cell mask.  First and
+    enumerate take the first uncovered cell with at most one live candidate,
+    else the one with fewest (ties by lowest linear index): ``size[cell]``
+    counts the live placements on a cell and ``dead[pid]`` the chosen
+    placements that share a cell with pid, kept by select and deselect.
+    ``limit`` keeps the first solutions in that order; ``max_nodes`` bounds
+    the nodes below the root of the mode's search tree and raises
     SearchLimitError past it.
 
     A placement is dead exactly when one of its cells is covered, so a
@@ -444,42 +457,47 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
             return 0
         return None if mode == "first" else []
 
-    size = [len(c) for c in candidates]
-    dead = [0] * len(cover)
-    covered = len(cover) + 1  # a covered cell's size (its live count is 0)
-    # The placements that share a cell with each placement, itself included.
-    clash = [tuple(set().union(*(candidates[c] for c in cells))) for cells in cover]
     bits = [sum(1 << c for c in cells) for cells in cover]
     full = (1 << n_cells) - 1
-
-    def pick() -> list[int]:
-        """Live candidates of the first uncovered cell with at most one of
-        them, else of the one with fewest (lowest index first)."""
-        low = min(size)
-        cell = size.index(low)
-        if low == 0 and 1 in size[:cell]:
-            cell = size.index(1)
-        return [pid for pid in candidates[cell] if not dead[pid]]
-
-    def select(pid: int):
-        for row in clash[pid]:
-            dead[row] += 1
-            if dead[row] == 1:
-                for cell in cover[row]:
-                    size[cell] -= 1
-        for cell in cover[pid]:
-            size[cell] = covered
-
-    def deselect(pid: int):
-        for cell in cover[pid]:
-            size[cell] = 0
-        for row in clash[pid]:
-            dead[row] -= 1
-            if not dead[row]:
-                for cell in cover[row]:
-                    size[cell] += 1
-
     counting = mode == "count"
+    if counting:  # live candidates of the first uncovered cell
+        def pick(mask: int) -> list[int]:
+            cell = (~mask & (mask + 1)).bit_length() - 1
+            return [pid for pid in candidates[cell] if not bits[pid] & mask]
+    else:
+        size = [len(c) for c in candidates]
+        dead = [0] * len(cover)
+        covered = len(cover) + 1  # a covered cell's size (its live count is 0)
+        # The placements that share a cell with each placement, itself included.
+        clash = [tuple(set().union(*(candidates[c] for c in cells))) for cells in cover]
+
+        def pick(mask: int) -> list[int]:
+            """Live candidates of the first uncovered cell with at most one
+            of them, else of the one with fewest (lowest index first)."""
+            low = min(size)
+            cell = size.index(low)
+            if low == 0 and 1 in size[:cell]:
+                cell = size.index(1)
+            return [pid for pid in candidates[cell] if not dead[pid]]
+
+        def select(pid: int):
+            for row in clash[pid]:
+                dead[row] += 1
+                if dead[row] == 1:
+                    for cell in cover[row]:
+                        size[cell] -= 1
+            for cell in cover[pid]:
+                size[cell] = covered
+
+        def deselect(pid: int):
+            for cell in cover[pid]:
+                size[cell] = 0
+            for row in clash[pid]:
+                dead[row] -= 1
+                if not dead[row]:
+                    for cell in cover[row]:
+                        size[cell] += 1
+
     stop = 1 if mode == "first" else inf if limit is None else limit
     budget = inf if max_nodes is None else max_nodes
     memo: dict[int, tuple[int, int]] = {}  # mask -> (solutions, nodes) below it
@@ -488,7 +506,7 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
     chosen: list[int] = []  # the placement that opened each frame
     # Frame: candidates, next branch, mask, and nodes and found on entry.
     # The root pick is not a search node; every branch below it is.
-    stack = [[pick(), 0, 0, 0, 0]]
+    stack = [[pick(0), 0, 0, 0, 0]]
     while stack and found < stop:
         frame = stack[-1]
         cands, i, mask, nodes_in, found_in = frame
@@ -515,9 +533,10 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
             found += hit[0]
             nodes += hit[1]
             continue
-        select(pid)
-        chosen.append(pid)
-        stack.append([pick(), 0, below, nodes, found])
+        if not counting:  # count mode reads only the mask
+            select(pid)
+            chosen.append(pid)
+        stack.append([pick(below), 0, below, nodes, found])
 
     if counting:
         return min(found, stop)

@@ -606,6 +606,20 @@ def test_region_flag_past_coord_bound_is_input_error(tmp_path, capsys, flag, val
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"error: {flag} values must be of magnitude below 2**31")
-    # Within the bound, a region too large to search is a resource limit.
-    assert _run("solve-poly", pieces, "--rect", 10 ** 5, 10 ** 5, "--mode", "count") == 3
-    assert capsys.readouterr().err.startswith("error: out of memory: ")
+
+
+@pytest.mark.parametrize("width, height", [(10 ** 5, 10 ** 5), (2 ** 31 - 1, 1),
+                                           (2 ** 7 + 1, 2 ** 7)])
+def test_region_over_search_limit_is_resource_limit(tmp_path, capsys, width, height):
+    # Within the coordinate bound, a region too large to search is refused
+    # before anything sized by its area is allocated.
+    pieces = _write_inputs(tmp_path)["pieces"]
+    capsys.readouterr()
+    assert _run("solve-poly", pieces, "--rect", width, height, "--mode", "count") == 3
+    assert capsys.readouterr().err == (f"error: a region of {width * height} cells "
+                                       "is over the search limit of 16384 cells\n")
+    # A bad piece file is still an input error.
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps([{"name": "m", "cells": [[0, 0]]}] * 2))
+    assert _run("solve-poly", dup, "--rect", width, height, "--mode", "count") == 2
+    assert capsys.readouterr().err == "input error: duplicate piece name 'm'\n"

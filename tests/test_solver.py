@@ -125,14 +125,15 @@ def test_deep_search_needs_no_recursion():
 
 @pytest.mark.parametrize("region, pieces, count, nodes, partial", [
     (Torus(TorusLattice((4, 0), (1, 3))), (L_TROMINO, J_TROMINO, H_DOM, V_DOM),
-     200, 862, {40: 8, 333: 76, 861: 199}),
-    (Rectangle(3, 5), (H_DOM, V_DOM, MONO), 5096, 12588,
-     {40: 14, 333: 133, 12587: 5095}),
+     200, 1340, {40: 7, 333: 45, 1339: 199}),
+    (Rectangle(3, 5), (H_DOM, V_DOM, MONO), 5096, 13184,
+     {40: 13, 333: 127, 13183: 5095}),
 ])
 def test_search_order_pinned(region, pieces, count, nodes, partial):
-    # The node budgets and the order of solutions are those of the
-    # fewest-candidates search that branches in canonical order: the first
-    # uncovered cell with at most one live candidate, else the smallest.
+    # The order of solutions is that of the fewest-candidates search that
+    # branches in canonical order: the first uncovered cell with at most one
+    # live candidate, else the smallest.  Count mode's node budgets are those
+    # of the search that branches on the first uncovered cell.
     universe = build_universe(region, pieces)
     full = solve(universe, "enumerate")
     assert solve(universe, "count") == len(full) == count
@@ -148,6 +149,7 @@ def test_search_order_pinned(region, pieces, count, nodes, partial):
 def _reference_solve(universe, mode="first", limit=None, max_nodes=None):
     """Algorithm X without the covered-cell memo, as solve ran before it
     had one (a generator cut by islice): the oracle of the memoised search.
+    Count mode branches on the first uncovered cell, as solve does there.
     """
     if limit is not None and limit < 0:
         raise SolverInputError("limit must be nonnegative")
@@ -169,8 +171,12 @@ def _reference_solve(universe, mode="first", limit=None, max_nodes=None):
     clash = [tuple(set().union(*(candidates[c] for c in cells))) for cells in cover]
 
     def pick() -> list[int]:
-        """Live candidates of the first uncovered cell with at most one of
-        them, else of the one with fewest (lowest index first)."""
+        """Live candidates of the first uncovered cell in count mode; else of
+        the first uncovered cell with at most one of them, else of the one
+        with fewest (lowest index first)."""
+        if mode == "count":
+            cell = next(c for c, live in enumerate(size) if live != covered)
+            return [pid for pid in candidates[cell] if not dead[pid]]
         low = min(size)
         cell = size.index(low)
         if low == 0 and 1 in size[:cell]:
@@ -281,9 +287,9 @@ def test_memo_cap_keeps_counts(cap):
                            (L_TROMINO, J_TROMINO, H_DOM, V_DOM))
     strip = build_universe(Rectangle(2, 10), (H_DOM, V_DOM))
     with mock.patch.object(solver, "_MEMO_CAP", cap):
-        assert solve(torus, "count") == solve(torus, "count", max_nodes=862) == 200
+        assert solve(torus, "count") == solve(torus, "count", max_nodes=1340) == 200
         assert solve(strip, "count", max_nodes=319) == 89
-        for universe, partial in ((torus, {40: 8, 333: 76, 861: 199}),
+        for universe, partial in ((torus, {40: 7, 333: 45, 1339: 199}),
                                   (strip, {50: 13, 318: 88})):
             for max_nodes, found in partial.items():
                 with pytest.raises(SearchLimitError) as err:
@@ -306,6 +312,13 @@ def test_domino_rectangles_match_kasteleyn(width, height):
 def test_trominoes_and_dominoes_6x6_match_dp():
     pieces = (L_TROMINO, J_TROMINO, H_DOM, V_DOM)
     assert _count(Rectangle(6, 6), pieces) == _dp_count(6, 6, pieces) == 123648
+
+
+def test_trominoes_and_dominoes_8x8_match_dp():
+    # Count mode's first-uncovered-cell pick stores about 6.6k masks here; the
+    # fewest-candidates pick would overflow the 2**16-mask memo.
+    pieces = (L_TROMINO, J_TROMINO, H_DOM, V_DOM)
+    assert _count(Rectangle(8, 8), pieces) == _dp_count(8, 8, pieces) == 6337816232
 
 
 def _dp_count(width, height, pieces):
@@ -586,6 +599,13 @@ def test_check_tiling_torus_wraps():
 def test_check_tiling_unknown_piece():
     with pytest.raises(SolverInputError):
         check_tiling(Rectangle(2, 2), (V_DOM,), [Placement("zzz", (0, 0))])
+
+
+def test_build_universe_region_cap():
+    assert len(build_universe(Rectangle(solver._REGION_CAP, 1), (MONO,)).placements) \
+        == solver._REGION_CAP
+    with pytest.raises(solver.RegionLimitError):
+        build_universe(Torus(TorusLattice((solver._REGION_CAP + 1, 0), (0, 1))), (MONO,))
 
 
 def test_duplicate_piece_names_rejected():
