@@ -69,23 +69,25 @@ def cell_array(cells) -> np.ndarray:
 
 
 def bounding_box(cells) -> tuple[int, int, int, int]:
-    """(xmin, ymin, xmax, ymax), max exclusive."""
-    xy = cell_array(cells)
-    return (*xy.min(axis=0).tolist(), *(xy.max(axis=0) + 1).tolist())
+    """(xmin, ymin, xmax, ymax), max exclusive, reduced column by column."""
+    x, y = cell_array(cells).T
+    return int(x.min()), int(y.min()), int(x.max()) + 1, int(y.max()) + 1
 
 
 def _connected_rows(xy: np.ndarray):
     """The distinct cells of non-empty (x, y) rows, in canonical (y, x)
     order, if they are edge-connected; else None.  They are sorted by
-    row-major keys in their bounding box (none is formed when a side is as
-    long as the rows are many: such cells are not connected); each row run
-    is joined to the runs it touches above by hooking larger roots under
-    smaller ones and pointer jumping (Shiloach and Vishkin, 1982)."""
-    (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
+    row-major keys in their bounding box, reduced column by column (none is
+    formed when a side is as long as the rows are many: such cells are not
+    connected); each row run is joined to the runs it touches above by
+    hooking larger roots under smaller ones and pointer jumping (Shiloach
+    and Vishkin, 1982)."""
+    x, y = xy.T
+    x0, y0, x1, y1 = int(x.min()), int(y.min()), int(x.max()), int(y.max())
     if max(x1 - x0, y1 - y0) >= len(xy):
         return None
     width = x1 - x0 + 1
-    key = np.sort((xy[:, 1] - y0) * width + xy[:, 0] - x0)
+    key = np.sort((y - y0) * width + x - x0)
     key = key[np.diff(key, prepend=-1) != 0]
     # A run starts where a key does not follow the one before, or a row starts.
     run = np.cumsum((np.diff(key, prepend=key[0]) != 1) | (key % width == 0)) - 1

@@ -127,9 +127,9 @@ def render_svg(spec: RenderSpec, payload: Sequence[Polyomino | Placement] | Plac
         x0, y0, x1, _ = np.array([bounding_box(p.xy) for p in shapes]).T
         at = np.column_stack((np.cumsum(x1 - x0 + 2) - x1 - 2, -y0))
 
-    boxes = np.array([bounding_box(p.xy) for p in shapes])[shape]
-    x0, y0 = (boxes[:, :2] + at).min(axis=0).tolist()
-    x1, y1 = (boxes[:, 2:] + at).max(axis=0).tolist()
+    box = np.array([bounding_box(p.xy) for p in shapes])[shape] + np.tile(at, 2)
+    x0, y0 = int(box[:, 0].min()), int(box[:, 1].min())
+    x1, y1 = int(box[:, 2].max()), int(box[:, 3].max())
     if spec.grid and (n := (x1 - x0 + 1) + (y1 - y0 + 1)) > MAX_GRID_LINES:
         raise GridLimitError(f"a grid of {n} lines is over the limit of {MAX_GRID_LINES}")
     w, h = (x1 - x0 + 2) * s, (y1 - y0 + 2) * s

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -250,6 +251,48 @@ def test_polyomino_to_json_lists_cells_in_canonical_order(cells):
 
 def test_bounding_box():
     assert bounding_box([(0, 0), (2, 3)]) == (0, 0, 3, 4)
+
+
+def _python_box(cells):
+    xs, ys = [x for x, _ in cells], [y for _, y in cells]
+    return min(xs), min(ys), max(xs) + 1, max(ys) + 1
+
+
+_EDGE = 2 ** 31 - 1
+_BOX_COORDS = st.integers(-40, 40) | st.sampled_from([-_EDGE, _EDGE])
+
+
+# Lists, int64 arrays, reversed and strided views and Fortran-order copies
+# all give Python's min and max, as Python ints.
+@given(st.lists(st.tuples(_BOX_COORDS, _BOX_COORDS), min_size=1, max_size=30))
+@example([(-_EDGE, _EDGE), (_EDGE, -_EDGE)])
+@example([(-3, -7)])
+def test_bounding_box_matches_python_min_max(cells):
+    xy = np.array(cells, dtype=np.int64)
+    for given_cells, expected in ((cells, _python_box(cells)),
+                                  (xy, _python_box(cells)),
+                                  (np.asfortranarray(xy), _python_box(cells)),
+                                  (xy[::-1], _python_box(cells)),
+                                  (xy[::2], _python_box(cells[::2])),
+                                  (np.asfortranarray(xy[::2]), _python_box(cells[::2]))):
+        box = bounding_box(given_cells)
+        assert box == expected and all(type(v) is int for v in box)
+
+
+# A piece's cells do not depend on the memory order of the array given.
+@given(_CELL_SETS, st.sampled_from([0, 100 - _EDGE, _EDGE - 100]))
+@settings(max_examples=200)
+def test_polyomino_cells_ignore_memory_order(cells, shift):
+    xy = np.array(list(cells), dtype=np.int64).reshape(-1, 2) + shift
+    if not is_connected(cells):
+        for given_xy in (xy, np.asfortranarray(xy)):
+            with pytest.raises(GeometryError):
+                Polyomino(given_xy, "p")
+        return
+    piece = Polyomino(xy, "p")
+    assert np.array_equal(Polyomino(np.asfortranarray(xy), "p").xy, piece.xy)
+    assert np.array_equal(Polyomino(xy[::-1], "p").xy, piece.xy)
+    assert piece.canonical_cells() == canonical((x + shift, y + shift) for x, y in cells)
 
 
 def test_polyomino_validation():

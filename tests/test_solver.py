@@ -483,6 +483,21 @@ def _assert_matches_oracle(region, placements):
         _cover_oracle(region, pieces, placements)
 
 
+# A pile of 300 monominoes on one cell, and 10^4 cells each covered twice by
+# dominoes: a pile's records in combinations order next to many pairs.
+@pytest.mark.parametrize("region", [Rectangle(100, 101),
+                                    Torus(TorusLattice((100, 0), (0, 101)))],
+                         ids=["rect", "torus"])
+def test_check_tiling_matches_owner_oracle_at_scale(region):
+    dominoes = [Placement("h", (x, y)) for y in range(1, 101) for x in range(0, 100, 2)]
+    pile = [Placement("mono", (3, 0))] * 150
+    placements = pile + dominoes[::-1] + pile + dominoes
+    oracle = _cover_oracle(region, (MONO, H_DOM), placements)
+    assert len(oracle[1]) == 300 * 299 // 2 + 10 ** 4
+    report = check_tiling(region, (MONO, H_DOM), placements)
+    assert (report.uncovered, report.overlaps, report.out_of_region) == oracle
+
+
 # Horizontal bars of 1 to 7 cells, one row run each, and a U pentomino,
 # whose upper row is two runs.
 _RUN_PIECES = (*(Polyomino(frozenset((x, 0) for x in range(n)), f"bar{n}")
