@@ -1,19 +1,5 @@
-"""Verification kernels in numpy: lattice reduction."""
-
-from __future__ import annotations
-
-import numpy as np
-
-
-def reduce_points(xs, ys, a, b, c):
-    """Map points to canonical representatives in [0, a) x [0, b).
-
-    (a, 0) and (c, b) form a triangular basis of the quotient lattice.
-    """
-    k = np.floor_divide(ys, b)
-    yr = ys - k * b
-    xr = np.mod(xs - k * c, a)
-    return xr, yr
+"""Only ``backend()``, for perfbench, until ROADMAP item 1 removes this module
+together with the benchmark code that reads it."""
 
 
 def backend() -> str:

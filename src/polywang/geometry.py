@@ -8,7 +8,8 @@ rows; the canonical order for serialization is (y, x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable
@@ -152,14 +153,12 @@ class TorusLattice:
 
     b1: Vec
     b2: Vec
-    _hnf: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b1", tuple(self.b1))
         object.__setattr__(self, "b2", tuple(self.b2))
         if self.det == 0:
             raise GeometryError("degenerate lattice")
-        object.__setattr__(self, "_hnf", self._compute_hnf())
 
     @property
     def det(self) -> int:
@@ -169,54 +168,38 @@ class TorusLattice:
     def num_cells(self) -> int:
         return abs(self.det)
 
-    def _compute_hnf(self) -> tuple[int, int, int]:
-        """Basis ((A, 0), (C, B)) of the same lattice, 0 <= C < A, A*B = |det|.
-
-        B is the gcd of the basis y-components; reduction maps every point
-        to the rectangle [0, A) x [0, B).
-        """
-        y1, y2 = self.b1[1], self.b2[1]
-        g, m, n = _ext_gcd(y1, y2)
-        # m*y1 + n*y2 == g > 0 (not both y-components are zero: det != 0)
-        ex = m * self.b1[0] + n * self.b2[0]
-        a = self.num_cells // g
-        return a, g, ex % a
-
-    @property
+    @cached_property
     def hnf(self) -> tuple[int, int, int]:
-        """(A, B, C) with lattice basis (A, 0), (C, B)."""
-        return self._hnf
+        """(A, B, C) with basis (A, 0), (C, B) of the same lattice: 0 <= C < A,
+        A*B = |det| and B is the gcd of the basis y-components, so reduction
+        maps every point to the rectangle [0, A) x [0, B)."""
+        (x1, y1), (x2, y2) = self.b1, self.b2
+        g = math.gcd(y1, y2)  # > 0: det != 0, so not both y-components are 0
+        # m*y1 + n*y2 == g
+        m = pow(y1 // g, -1, abs(y2 // g)) if y2 else y1 // g
+        n = (g - m * y1) // y2 if y2 else 0
+        a = self.num_cells // g
+        return a, g, (m * x1 + n * x2) % a
 
     def reduce(self, c: Cell) -> Cell:
         """Canonical representative of c modulo the lattice."""
-        a, b, cc = self._hnf
+        a, b, cc = self.hnf
         x, y = c
         k = y // b
         return ((x - k * cc) % a, y - k * b)
 
+    def reduce_points(self, xs, ys):
+        """``reduce`` of each point (xs, ys) of two int arrays, as two arrays."""
+        a, b, c = self.hnf
+        k = np.floor_divide(ys, b)
+        return np.mod(xs - k * c, a), ys - k * b
+
     def representatives(self):
         """Iterate the |det| canonical representatives."""
-        a, b, _ = self._hnf
+        a, b, _ = self.hnf
         for y in range(b):
             for x in range(a):
                 yield (x, y)
-
-
-def _ext_gcd(p: int, q: int) -> tuple[int, int, int]:
-    """(g, m, n) with m*p + n*q == g == gcd(p, q) > 0."""
-    if p == 0 and q == 0:
-        raise GeometryError("gcd(0, 0) undefined")
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 class Polyomino:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .blocks import BLOCK, CANONICAL_OFFSETS
 from .compiler import (
     LINKER_PIECE,
@@ -123,7 +122,7 @@ def emit_placements(tileset: WangTileSet, tiling: WangTiling) -> SimulatedTiling
     kx, ky = np.multiply(BLOCK, pat.connector_origin(*wang_cell_to_diamond(a, b)))
     # Each Wang cell's tile template: (piece, dx, dy) rows from its connector.
     piece, dx, dy = _tile_templates(tileset)[list(tiling.cells)].T
-    x, y = _kernels.reduce_points((dx + kx).ravel(), (dy + ky).ravel(), *lat.hnf)
+    x, y = lat.reduce_points((dx + kx).ravel(), (dy + ky).ravel())
     order = np.lexsort((x, y, piece.ravel()))
     used, piece = np.unique(piece.ravel()[order], return_inverse=True)
     return SimulatedTiling(lat, Placements([PIECE_NAMES[i] for i in used], piece,

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .geometry import (Cell, CellSet, Polyomino, TorusLattice, Vec, canonical,
                        cell_array, coord_array, is_coord_pair)
 
@@ -100,7 +99,7 @@ class Torus:
 
     def index(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Flat index y * width + x of each point's representative cell."""
-        xr, yr = _kernels.reduce_points(xs, ys, *self.lattice.hnf)
+        xr, yr = self.lattice.reduce_points(xs, ys)
         return yr * self.width + xr
 
     def runs(self, xs: np.ndarray, ys: np.ndarray, lengths: np.ndarray):
@@ -108,7 +107,7 @@ class Torus:
         cells from (xs, ys), and the times it wraps that row.  A run stays in
         its row, x taken mod width: it covers the whole row ``wraps`` times,
         plus [start, end), or minus [end, start) when end < start."""
-        xr, yr = _kernels.reduce_points(xs, ys, *self.lattice.hnf)
+        xr, yr = self.lattice.reduce_points(xs, ys)
         wraps, xe = np.divmod(xr + lengths, self.width)
         row = yr * self.width
         return row + xr, row + xe, wraps
@@ -258,8 +257,9 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
     if unknown := [name for name in placements.names if name not in table]:
         raise SolverInputError(f"unknown piece {unknown[0]!r}")
 
-    # A torus moves each offset into its fundamental domain, once.
-    at = (np.column_stack(_kernels.reduce_points(*placements.at.T, *region.lattice.hnf))
+    # A torus moves each offset into its fundamental domain, once: this keeps
+    # Torus.runs' k * c inside int64 for tori of up to 2**32 cells, not 2**31.
+    at = (np.column_stack(region.lattice.reduce_points(*placements.at.T))
           if isinstance(region, Torus) else placements.at)
     ox, oy = at.T
     # Per piece: its x and y columns, its runs' first x, first y and length,

@@ -623,3 +623,29 @@ def test_region_over_search_limit_is_resource_limit(tmp_path, capsys, width, hei
     dup.write_text(json.dumps([{"name": "m", "cells": [[0, 0]]}] * 2))
     assert _run("solve-poly", dup, "--rect", width, height, "--mode", "count") == 2
     assert capsys.readouterr().err == "input error: duplicate piece name 'm'\n"
+
+
+# Each subcommand with valid inputs, writing its output to -o.
+_WRITERS = {
+    "compile": "compile wang_set",
+    "solve-wang": "solve-wang wang_set --torus 3 1",
+    "solve-poly": "solve-poly pieces --rect 1 1",
+    "simulate": "simulate wang_set wang_tiling",
+    "verify": "verify pieces tiling",
+    "render": "render pieces",
+    "info": "info pieces",
+}
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "dir"])
+@pytest.mark.parametrize("case", list(_WRITERS))
+def test_unwritable_output_is_input_error_naming_the_path(tmp_path, capsys, case, target):
+    path = _write_inputs(tmp_path, wang_tiling={"p": 3, "q": 1, "torus": True,
+                                                "cells": [0, 1, 2]})
+    out = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path
+    argv = [path.get(word, word) for word in _WRITERS[case].split()]
+    capsys.readouterr()
+    assert _run(*argv, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: cannot write {out}: ")

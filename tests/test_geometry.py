@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -341,3 +343,47 @@ def test_reduce_mod_idempotent_and_orbit_constant(c, i, j):
     assert lat.reduce(r) == r
     shifted = (c[0] + i * 7 - 2 * j, c[1] + 3 * i + 5 * j)
     assert lat.reduce(shifted) == r
+
+
+_SMALL_BASES = st.tuples(*[st.integers(-6, 6)] * 4).filter(
+    lambda v: v[0] * v[3] != v[1] * v[2])
+# Bases whose reduction of points up to _FAR stays inside int64.
+_NEAR_BOUND_BASES = st.sampled_from([
+    (2 ** 31 - 1, 0, 2 ** 31 - 2, 1), (2 ** 31 - 1, 0, 0, 1),
+    (-(2 ** 31 - 1), 0, 2 ** 31 - 2, -1), (1, 0, 5, 2 ** 31 - 1),
+    (2 ** 16, 0, 2 ** 16 - 1, 2 ** 16), (0, 2 ** 31 - 1, 3, 0)])
+# An offset plus a piece cell: each below COORD_BOUND in magnitude.
+_FAR = 2 * (COORD_BOUND - 1)
+
+
+@given(_SMALL_BASES | _NEAR_BOUND_BASES,
+       st.lists(st.tuples(st.integers(-_FAR, _FAR), st.integers(-_FAR, _FAR)),
+                min_size=1, max_size=20))
+@example((2 ** 31 - 1, 0, 2 ** 31 - 2, 1), [(-_FAR, -_FAR), (_FAR, _FAR), (0, -_FAR)])
+def test_reduce_points_is_reduce_of_each_point(basis, points):
+    lat = TorusLattice(basis[:2], basis[2:])
+    xs, ys = np.array(points, dtype=np.int64).T
+    xr, yr = lat.reduce_points(xs, ys)
+    assert list(zip(xr.tolist(), yr.tolist())) == [lat.reduce(p) for p in points]
+
+
+_COORD = st.integers(-(COORD_BOUND - 1), COORD_BOUND - 1)
+
+
+@given(st.tuples(_COORD, _COORD | st.just(0), _COORD, _COORD | st.just(0)).filter(
+    lambda v: v[0] * v[3] != v[1] * v[2]))
+@example((7, 0, 5, 3))
+@example((4, 6, -2, 0))
+@example((COORD_BOUND - 1, 1, -(COORD_BOUND - 1), COORD_BOUND - 1))
+def test_hnf_is_a_basis_of_the_same_lattice(basis):
+    x1, y1, x2, y2 = basis
+    lat = TorusLattice((x1, y1), (x2, y2))
+    a, b, c = lat.hnf
+    assert 0 <= c < a
+    assert a * b == lat.num_cells
+    assert b == math.gcd(y1, y2)
+    det = lat.det
+    for x, y in ((a, 0), (c, b)):
+        # Cramer's rule: (x, y) = i * b1 + j * b2 with integer i and j.
+        assert (x * y2 - y * x2) % det == 0
+        assert (x1 * y - y1 * x) % det == 0
