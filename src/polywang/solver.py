@@ -1,8 +1,8 @@
 """Translational exact-cover tiling engine and linear tiling checker.
 
-``solve`` runs Knuth's Algorithm X on an explicit stack, in regions of at most
-``_REGION_CAP`` cells.  Count mode branches on the first uncovered cell, first
-and enumerate on the cell with fewest candidates.  It memoises each finished
+``solve`` searches regions of at most ``_REGION_CAP`` cells.  Count mode sweeps
+frontier layers (the transfer-matrix method, Stanley, EC1 4.7).  First and
+enumerate run Knuth's Algorithm X on an explicit stack, memoising each finished
 subtree's solution and node counts on the covered-cell bitmask, for at most
 ``_MEMO_CAP`` masks, as in Knuth, TAOCP Vol. 4B, 7.2.2.1.  ``check_tiling``
 verifies a given placement list and is the workhorse for simulator output.  It
@@ -25,8 +25,8 @@ from .geometry import (Cell, CellSet, Polyomino, TorusLattice, Vec, canonical,
 
 SolveMode = Literal["first", "count", "enumerate"]
 _BATCH_POINTS = 1 << 18  # placed points check_tiling materialises at a time
-# Covered-cell masks solve memoises, at most: about 160 B of heap each, 10 MB in
-# all (tracemalloc: 6.9 MB for the 42,975 masks of the 10x10 {L, J, h, v} count).
+# States solve stores, at most: memo masks in first and enumerate, live frontier
+# states in count mode; about 160 B of heap each (tracemalloc), 10 MB in all.
 _MEMO_CAP = 1 << 16
 # Cells of the largest region build_universe takes: solve holds an area-bit mask
 # a placement, 0.14 B per cell squared for {h, m} (tracemalloc), 40 MB here.
@@ -38,7 +38,7 @@ class SolverInputError(ValueError):
 
 
 class RegionLimitError(RuntimeError):
-    """A region of more than _REGION_CAP cells was given to build_universe."""
+    """A region of over _REGION_CAP cells, or a count of over _MEMO_CAP states."""
 
 
 class SearchLimitError(RuntimeError):
@@ -425,31 +425,67 @@ def _area_reachable(total: int, areas: Sequence[int]) -> bool:
     return (bits >> total) & 1 == 1
 
 
+def _count(cover: list[tuple[int, ...]], n_cells: int, max_nodes: int | None) -> int:
+    """The tilings, counted by frontier layers.  ``layers[i]`` maps each
+    covered-cell mask whose first uncovered cell is i, shifted down by i, to
+    the search paths that reach it; ``starts[lo]`` holds the placements whose
+    lowest cell is lo, shifted down by lo.  Each state of layer i moves its
+    paths through each start of ``starts[i]`` it misses, to the layer of its
+    new first uncovered cell; only layers ahead are held, ``_MEMO_CAP`` states
+    at most.  ``nodes`` adds up the paths moved, the nodes of the search on the
+    first uncovered cell; past ``max_nodes``, the tilings completed so far."""
+    starts: list[list[int]] = [[] for _ in range(n_cells)]
+    for lo, cells in zip(map(min, cover), cover):
+        starts[lo].append(sum(1 << (c - lo) for c in cells))
+    layers: list[dict[int, int] | None] = [{0: 1}, *({} for _ in range(n_cells))]
+    budget = inf if max_nodes is None else max_nodes
+    nodes, live = 0, 1
+    for i in range(n_cells):
+        layer, layers[i] = layers[i], None
+        live -= len(layer)
+        for state, paths in layer.items():
+            for start in starts[i]:
+                if state & start:
+                    continue
+                mask = state | start
+                j = (~mask & (mask + 1)).bit_length() - 1
+                nodes += paths
+                if nodes > budget:
+                    raise SearchLimitError(layers[n_cells].get(0, 0))
+                nxt, key = layers[i + j], mask >> j
+                if key in nxt:
+                    nxt[key] += paths
+                    continue
+                nxt[key] = paths
+                live += 1
+                if live > _MEMO_CAP:
+                    raise RegionLimitError(f"the count needs more than {_MEMO_CAP} live "
+                                           "frontier states, over the search limit")
+    return layers[n_cells].get(0, 0)
+
+
 def solve(universe: PlacementUniverse, mode: SolveMode = "first",
           limit: int | None = None, max_nodes: int | None = None):
     """Exhaustive exact-cover search over the placement universe.
 
-    Knuth's Algorithm X on an explicit stack, so Python's recursion limit
-    does not cap the depth.  Candidates branch in canonical order on a
-    deterministic cell.  Count mode takes the first uncovered cell, whose
-    live candidates have no bit in the covered-cell mask.  First and
-    enumerate take the first uncovered cell with at most one live candidate,
-    else the one with fewest (ties by lowest linear index): ``size[cell]``
-    counts the live placements on a cell and ``dead[pid]`` the chosen
-    placements that share a cell with pid, kept by select and deselect.
-    ``limit`` keeps the first solutions in that order; ``max_nodes`` bounds
-    the nodes below the root of the mode's search tree and raises
-    SearchLimitError past it.
+    Count mode returns ``_count``'s tally, at most ``limit``.  First and
+    enumerate run Knuth's Algorithm X on an explicit stack, so Python's
+    recursion limit does not cap the depth.  Candidates branch in canonical
+    order on the first uncovered cell with at most one live candidate, else
+    the one with fewest (ties by lowest linear index): ``size[cell]`` counts
+    the live placements on a cell and ``dead[pid]`` the chosen placements
+    that share a cell with pid, kept by select and deselect.  In every mode
+    ``max_nodes`` bounds the nodes below the root of the search tree and
+    raises SearchLimitError past it; ``limit`` keeps the first solutions.
 
     A placement is dead exactly when one of its cells is covered, so a
     search state, its pick and its subtree depend only on the covered-cell
     mask (a Python int, bit c for region cell c).  Each finished subtree
     stores (solutions, nodes) under its mask, for at most ``_MEMO_CAP``
-    masks.  Count mode adds a stored subtree instead of searching it again;
-    first and enumerate skip only stored subtrees without solutions, so the
-    order of solutions does not change.  A skipped subtree's nodes count
-    towards ``max_nodes`` as if searched; one that would cross the budget is
-    searched, so the partial count stays exact.
+    masks.  A stored subtree without solutions is skipped, so the order of
+    solutions does not change.  Its nodes count towards ``max_nodes`` as if
+    searched; one that would cross the budget is searched, so the partial
+    count stays exact.
     """
     if limit is not None and limit < 0:
         raise SolverInputError("limit must be nonnegative")
@@ -458,95 +494,84 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
     n_cells = universe.region.area
     cover = universe._cover
     candidates = universe._candidates
-    areas = [len(p) for p in universe.pieces]
-    if not _area_reachable(n_cells, areas):
-        if mode == "count":
-            return 0
+    reachable = _area_reachable(n_cells, [len(p) for p in universe.pieces])
+    if mode == "count":
+        total = _count(cover, n_cells, max_nodes) if reachable and limit != 0 else 0
+        return total if limit is None else min(total, limit)
+    if not reachable:
         return None if mode == "first" else []
 
     bits = [sum(1 << c for c in cells) for cells in cover]
     full = (1 << n_cells) - 1
-    counting = mode == "count"
-    if counting:  # live candidates of the first uncovered cell
-        def pick(mask: int) -> list[int]:
-            cell = (~mask & (mask + 1)).bit_length() - 1
-            return [pid for pid in candidates[cell] if not bits[pid] & mask]
-    else:
-        size = [len(c) for c in candidates]
-        dead = [0] * len(cover)
-        covered = len(cover) + 1  # a covered cell's size (its live count is 0)
-        # The placements that share a cell with each placement, itself included.
-        clash = [tuple(set().union(*(candidates[c] for c in cells))) for cells in cover]
+    size = [len(c) for c in candidates]
+    dead = [0] * len(cover)
+    covered = len(cover) + 1  # a covered cell's size (its live count is 0)
+    # The placements that share a cell with each placement, itself included.
+    clash = [tuple(set().union(*(candidates[c] for c in cells))) for cells in cover]
 
-        def pick(mask: int) -> list[int]:
-            """Live candidates of the first uncovered cell with at most one
-            of them, else of the one with fewest (lowest index first)."""
-            low = min(size)
-            cell = size.index(low)
-            if low == 0 and 1 in size[:cell]:
-                cell = size.index(1)
-            return [pid for pid in candidates[cell] if not dead[pid]]
+    def pick() -> list[int]:
+        """Live candidates of the first uncovered cell with at most one
+        of them, else of the one with fewest (lowest index first)."""
+        low = min(size)
+        cell = size.index(low)
+        if low == 0 and 1 in size[:cell]:
+            cell = size.index(1)
+        return [pid for pid in candidates[cell] if not dead[pid]]
 
-        def select(pid: int):
-            for row in clash[pid]:
-                dead[row] += 1
-                if dead[row] == 1:
-                    for cell in cover[row]:
-                        size[cell] -= 1
-            for cell in cover[pid]:
-                size[cell] = covered
+    def select(pid: int):
+        for row in clash[pid]:
+            dead[row] += 1
+            if dead[row] == 1:
+                for cell in cover[row]:
+                    size[cell] -= 1
+        for cell in cover[pid]:
+            size[cell] = covered
 
-        def deselect(pid: int):
-            for cell in cover[pid]:
-                size[cell] = 0
-            for row in clash[pid]:
-                dead[row] -= 1
-                if not dead[row]:
-                    for cell in cover[row]:
-                        size[cell] += 1
+    def deselect(pid: int):
+        for cell in cover[pid]:
+            size[cell] = 0
+        for row in clash[pid]:
+            dead[row] -= 1
+            if not dead[row]:
+                for cell in cover[row]:
+                    size[cell] += 1
 
     stop = 1 if mode == "first" else inf if limit is None else limit
     budget = inf if max_nodes is None else max_nodes
     memo: dict[int, tuple[int, int]] = {}  # mask -> (solutions, nodes) below it
-    solutions: list[tuple[int, ...]] = []  # kept unless counting
-    nodes = found = 0
+    solutions: list[tuple[int, ...]] = []
+    nodes = 0
     chosen: list[int] = []  # the placement that opened each frame
-    # Frame: candidates, next branch, mask, and nodes and found on entry.
+    # Frame: candidates, next branch, mask, and nodes and solutions on entry.
     # The root pick is not a search node; every branch below it is.
-    stack = [[pick(0), 0, 0, 0, 0]]
-    while stack and found < stop:
+    stack = [[pick(), 0, 0, 0, 0]]
+    while stack and len(solutions) < stop:
         frame = stack[-1]
         cands, i, mask, nodes_in, found_in = frame
         if i == len(cands):
             stack.pop()
             if len(memo) < _MEMO_CAP:
-                memo[mask] = (found - found_in, nodes - nodes_in)
+                memo[mask] = (len(solutions) - found_in, nodes - nodes_in)
             if chosen:
                 deselect(chosen.pop())
             continue
         frame[1] = i + 1
         nodes += 1
         if nodes > budget:
-            raise SearchLimitError(found)
+            raise SearchLimitError(len(solutions))
         pid = cands[i]
         below = mask | bits[pid]
         if below == full:
-            found += 1
-            if not counting:
-                solutions.append((*chosen, pid))
+            solutions.append((*chosen, pid))
             continue
         hit = memo.get(below)
-        if hit and (counting or not hit[0]) and nodes + hit[1] <= budget:
-            found += hit[0]
+        if hit and not hit[0] and nodes + hit[1] <= budget:
             nodes += hit[1]
             continue
-        if not counting:  # count mode reads only the mask
-            select(pid)
-            chosen.append(pid)
-        stack.append([pick(below), 0, below, nodes, found])
+        select(pid)
+        chosen.append(pid)
+        stack.append([pick(), 0, below, nodes, len(solutions)])
 
-    if counting:
-        return min(found, stop)
     tilings = [
         sorted((universe.placements[pid] for pid in sol),
                key=lambda pl: (pl.piece, pl.at[1], pl.at[0]))

@@ -101,13 +101,16 @@ def test_search_limit_error():
     with pytest.raises(SearchLimitError) as err:
         solve(universe, "count", max_nodes=3)
     assert err.value.partial_count == 0
-    # The root pick is not a node: 318 nodes fall one short of all 89.
+    # Count mode sweeps frontier layers, and a move adds its paths to the
+    # nodes: the root pick is not a node, so all 89 need 319.  The 34 tilings
+    # that end in two vertical dominoes complete first; the last move, an h
+    # that completes the 55 tilings of 2x9, needs 55 nodes: 318 cannot pay.
     with pytest.raises(SearchLimitError) as err:
         solve(universe, "count", max_nodes=50)
-    assert err.value.partial_count == 13
+    assert err.value.partial_count == 0
     with pytest.raises(SearchLimitError) as err:
         solve(universe, "count", max_nodes=318)
-    assert err.value.partial_count == 88
+    assert err.value.partial_count == 34
     assert solve(universe, "count", max_nodes=319) == 89
     with pytest.raises(SearchLimitError) as err:
         solve(universe, "count", max_nodes=0)
@@ -125,15 +128,16 @@ def test_deep_search_needs_no_recursion():
 
 @pytest.mark.parametrize("region, pieces, count, nodes, partial", [
     (Torus(TorusLattice((4, 0), (1, 3))), (L_TROMINO, J_TROMINO, H_DOM, V_DOM),
-     200, 1340, {40: 7, 333: 45, 1339: 199}),
+     200, 1340, {40: 0, 333: 0, 1339: 163}),
     (Rectangle(3, 5), (H_DOM, V_DOM, MONO), 5096, 13184,
-     {40: 13, 333: 127, 13183: 5095}),
+     {40: 0, 333: 0, 13183: 2550}),
 ])
 def test_search_order_pinned(region, pieces, count, nodes, partial):
     # The order of solutions is that of the fewest-candidates search that
     # branches in canonical order: the first uncovered cell with at most one
     # live candidate, else the smallest.  Count mode's node budgets are those
-    # of the search that branches on the first uncovered cell.
+    # of the search that branches on the first uncovered cell; its partial
+    # counts are the tilings its sweep of frontier layers has completed.
     universe = build_universe(region, pieces)
     full = solve(universe, "enumerate")
     assert solve(universe, "count") == len(full) == count
@@ -149,7 +153,8 @@ def test_search_order_pinned(region, pieces, count, nodes, partial):
 def _reference_solve(universe, mode="first", limit=None, max_nodes=None):
     """Algorithm X without the covered-cell memo, as solve ran before it
     had one (a generator cut by islice): the oracle of the memoised search.
-    Count mode branches on the first uncovered cell, as solve does there.
+    Count mode branches on the first uncovered cell: its tree's nodes are
+    those that solve's sweep of frontier layers counts.
     """
     if limit is not None and limit < 0:
         raise SolverInputError("limit must be nonnegative")
@@ -261,7 +266,10 @@ _SEARCH_PIECES = (L_TROMINO, J_TROMINO, H_DOM, V_DOM, MONO)
 
 
 # Every node budget up to one past the whole search, and limits around the
-# solution count, on regions small enough to sweep them all.
+# solution count, on regions small enough to sweep them all.  First and
+# enumerate match the reference outright.  Count mode completes nothing before
+# its last layer: it gives the count when the budget pays for the whole tree,
+# else a partial count that never falls as the budget grows.
 @given(st.one_of(st.builds(Rectangle, st.integers(1, 3), st.integers(1, 2)),
                  _torus_lattices().filter(lambda region: region.area <= 6)),
        st.lists(st.sampled_from(_SEARCH_PIECES), min_size=1, unique=True))
@@ -271,42 +279,109 @@ def test_solve_matches_reference_search(region, pieces):
     total = _reference_solve(universe, "count")
     nodes = next(m for m in count()
                  if _outcome(_reference_solve, universe, "count", max_nodes=m) == total)
+    limits = (None, 1, 2, 5, total, total + 1)
+    partial = dict.fromkeys(limits, 0)
     for max_nodes in range(nodes + 2):
         assert _outcome(solve, universe, "first", max_nodes=max_nodes) == \
             _outcome(_reference_solve, universe, "first", max_nodes=max_nodes)
-        for limit in (None, 1, 2, 5, total, total + 1):
-            for mode in ("count", "enumerate"):
-                assert _outcome(solve, universe, mode, limit=limit, max_nodes=max_nodes) \
-                    == _outcome(_reference_solve, universe, mode, limit=limit,
-                                max_nodes=max_nodes)
+        for limit in limits:
+            assert _outcome(solve, universe, "enumerate", limit=limit, max_nodes=max_nodes) \
+                == _outcome(_reference_solve, universe, "enumerate", limit=limit,
+                            max_nodes=max_nodes)
+            got = _outcome(solve, universe, "count", limit=limit, max_nodes=max_nodes)
+            if limit == 0 or max_nodes >= nodes:
+                assert got == (total if limit is None else min(total, limit))
+            else:
+                assert isinstance(got, tuple) and partial[limit] <= got[1] <= total
+                partial[limit] = got[1]
 
 
 @pytest.mark.parametrize("cap", [0, 4])
 def test_memo_cap_keeps_counts(cap):
+    # First and enumerate are the memo's only users.  A smaller memo skips
+    # fewer subtrees, but finds the same tilings within the same budgets:
+    # the nodes each needs to complete, and around them.
     torus = build_universe(Torus(TorusLattice((4, 0), (1, 3))),
                            (L_TROMINO, J_TROMINO, H_DOM, V_DOM))
     strip = build_universe(Rectangle(2, 10), (H_DOM, V_DOM))
+    cases = [(universe, mode, max_nodes)
+             for universe, budgets in ((torus, {"first": 12, "enumerate": 862}),
+                                       (strip, {"first": 10, "enumerate": 319}))
+             for mode, nodes in budgets.items()
+             for max_nodes in (None, nodes, nodes - 1, nodes // 2, 3)]
+
+    def outcomes():
+        return [_outcome(solve, universe, mode, max_nodes=max_nodes)
+                for universe, mode, max_nodes in cases]
+
+    expected = outcomes()
+    # Each completes at its budget, and not one node sooner.
+    assert expected[::5] == expected[1::5]
+    assert all(got[0] is SearchLimitError for got in expected[2::5])
     with mock.patch.object(solver, "_MEMO_CAP", cap):
-        assert solve(torus, "count") == solve(torus, "count", max_nodes=1340) == 200
-        assert solve(strip, "count", max_nodes=319) == 89
-        for universe, partial in ((torus, {40: 7, 333: 45, 1339: 199}),
-                                  (strip, {50: 13, 318: 88})):
-            for max_nodes, found in partial.items():
-                with pytest.raises(SearchLimitError) as err:
-                    solve(universe, "count", max_nodes=max_nodes)
-                assert err.value.partial_count == found
+        assert outcomes() == expected
 
 
 def _kasteleyn(width, height):
-    """Domino tilings of a rectangle by Kasteleyn's product formula (1961)."""
-    return round(prod(4 * cos(pi * j / (width + 1)) ** 2 + 4 * cos(pi * k / (height + 1)) ** 2
-                      for j in range(1, (width + 1) // 2 + 1)
-                      for k in range(1, (height + 1) // 2 + 1)))
+    """Domino tilings of a rectangle by Kasteleyn's product formula (1961),
+    in float64: refused unless its rounding error bound is below 1/2."""
+    factors = [4 * cos(pi * j / (width + 1)) ** 2 + 4 * cos(pi * k / (height + 1)) ** 2
+               for j in range(1, (width + 1) // 2 + 1)
+               for k in range(1, (height + 1) // 2 + 1)]
+    value = prod(factors)
+    assert len(factors) * value * 2 ** -52 < 0.5, "past float64's exact range"
+    return round(value)
 
 
 @pytest.mark.parametrize("width, height", [(4, 4), (6, 6), (8, 8), (8, 10)])
 def test_domino_rectangles_match_kasteleyn(width, height):
     assert _count(Rectangle(width, height), (H_DOM, V_DOM)) == _kasteleyn(width, height)
+
+
+def test_kasteleyn_refuses_what_float64_cannot_round():
+    # At 16x8 the rounded product reads 540,061,286,536,924: three too many.
+    with pytest.raises(AssertionError, match="float64"):
+        _kasteleyn(16, 8)
+
+
+def _torus_matchings(a, c, d):
+    """Perfect matchings of the grid graph on the torus Z^2 / <(a, 0), (c, d)>,
+    each cell joined to its east and north neighbours, by matching the
+    lowest unmatched cell in every way (a, d > 2: no loops)."""
+    def cell(x, y):  # the representative in [0, a) x [0, d), flat
+        k = y // d
+        return (x - k * c) % a + (y - k * d) * a
+
+    edges = [[] for _ in range(a * d)]
+    for y in range(d):
+        for x in range(a):
+            for end in (cell(x + 1, y), cell(x, y + 1)):
+                edges[cell(x, y)].append(end)
+                edges[end].append(cell(x, y))
+    full = (1 << a * d) - 1
+
+    @cache
+    def ways(mask):
+        if mask == full:
+            return 1
+        low = (~mask & (mask + 1)).bit_length() - 1
+        return sum(ways(mask | 1 << low | 1 << end) for end in edges[low]
+                   if not mask >> end & 1)
+
+    return ways(0)
+
+
+@pytest.mark.parametrize("a, c, d, expected", [(4, 0, 4, 272), (6, 2, 6, 88040)])
+def test_domino_tori_match_perfect_matchings(a, c, d, expected):
+    region = Torus(TorusLattice((a, 0), (c, d)))
+    assert _count(region, (H_DOM, V_DOM)) == _torus_matchings(a, c, d) == expected
+
+
+@given(_torus_lattices(), st.lists(st.sampled_from(_SEARCH_PIECES), min_size=1, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_torus_counts_match_reference_search(region, pieces):
+    universe = build_universe(region, pieces)
+    assert solve(universe, "count") == _reference_solve(universe, "count")
 
 
 def test_trominoes_and_dominoes_6x6_match_dp():
@@ -315,10 +390,42 @@ def test_trominoes_and_dominoes_6x6_match_dp():
 
 
 def test_trominoes_and_dominoes_8x8_match_dp():
-    # Count mode's first-uncovered-cell pick stores about 6.6k masks here; the
-    # fewest-candidates pick would overflow the 2**16-mask memo.
+    # Count mode's sweep meets 6,640 frontier states here, at most 320 of them
+    # at once; the fewest-candidates pick's search would overflow the
+    # 2**16-mask memo.
     pieces = (L_TROMINO, J_TROMINO, H_DOM, V_DOM)
     assert _count(Rectangle(8, 8), pieces) == _dp_count(8, 8, pieces) == 6337816232
+
+
+_LJHV = (L_TROMINO, J_TROMINO, H_DOM, V_DOM)
+
+
+# Counts a covered-cell memo of 2**16 masks could not reach: 11x10 meets
+# 93,888 frontier states in all, but the sweep holds at most 2,560 at once.
+@pytest.mark.parametrize("width, height, pieces, expected", [
+    (11, 10, _LJHV, 600570426477947343),
+    (12, 12, _LJHV, 629581954074785680425009),
+    (16, 8, (H_DOM, V_DOM), 540061286536921),
+])
+def test_counts_past_the_memo_match_dp(width, height, pieces, expected):
+    assert _count(Rectangle(width, height), pieces) == _dp_count(width, height, pieces) \
+        == expected
+
+
+@pytest.mark.parametrize("width, height, pieces, expected, heap_mb", [
+    (12, 12, _LJHV, 629581954074785680425009, 2),
+    (16, 8, (H_DOM, V_DOM), 540061286536921, 4),
+])
+def test_count_heap_is_held_to_the_frontier(width, height, pieces, expected, heap_mb):
+    universe = build_universe(Rectangle(width, height), pieces)
+    tracemalloc.start()
+    try:
+        got = solve(universe, "count")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < heap_mb * 2 ** 20
 
 
 def _dp_count(width, height, pieces):
