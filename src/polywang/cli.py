@@ -86,7 +86,7 @@ def _column(values, end: str):
 
 def _records(keys, columns, end: str):
     """As _column, for records with ``keys`` given as their values per key
-    (``columns``, e.g. placements), if each suits _column; else None."""
+    (``columns``, of a ``solver.Records``), if each suits _column; else None."""
     indent = end + " "
     fields, flat = [], []
     for key, values in zip(keys, columns):
@@ -99,25 +99,20 @@ def _records(keys, columns, end: str):
 
 def _rows(obj, end: str):
     """One row format and its columns for the whole list ``obj``, or None."""
-    if isinstance(obj, solver.Placements):
-        return _records(("piece", "at"), (obj, obj.at), end)
-    if (rows := _column(obj, end)) or set(map(type, obj)) != {dict}:
-        return rows
-    # Non-empty dicts with the same keys in the same order.
-    if obj[0] and len(set(map(tuple, obj))) == 1:
-        return _records(obj[0], zip(*map(dict.values, obj)), end)
-    return None
+    if isinstance(obj, solver.Records):
+        return _records(obj.keys, obj.columns, end)
+    return _column(obj, end)
 
 
 def _json_text(obj, end: str = "\n") -> str:
     """``json.dumps(obj, indent=1)`` for dicts with str keys, lists, str,
     int, bool and None, where an int array of shape (k,) or (k, 2) stands
-    for its ``tolist()`` and a ``solver.Placements`` for its records
-    ``{"piece": name, "at": [x, y]}`` in order.  ``end`` is a newline plus
-    obj's own indent."""
+    for its ``tolist()`` and a ``solver.Records`` (such as a
+    ``solver.Placements``, ``{"piece": name, "at": [x, y]}``) for its
+    records in order.  ``end`` is a newline plus obj's own indent."""
     if type(obj) in _SCALARS:
         return _SCALARS[type(obj)](obj)
-    if not (isinstance(obj, (dict, list, solver.Placements))
+    if not (isinstance(obj, (dict, list, solver.Records))
             or isinstance(obj, np.ndarray) and obj.dtype.kind == "i"):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     opening, closing = "{}" if isinstance(obj, dict) else "[]"

@@ -42,14 +42,14 @@ def is_coord_pair(v) -> bool:
 
 def coord_array(values) -> np.ndarray | None:
     """A JSON list as an int64 (k, 2) array if each value is_coord_pair,
-    else None: C-level passes over types and lengths, one np.fromiter pass
-    (values past int64 overflow) and numpy's min and max for the bound."""
+    else None: C-level passes over types and lengths and over the values,
+    flattened once, for type and np.fromiter (refusing any past int64)."""
     if not (isinstance(values, list) and set(map(type, values)) <= {list}
             and set(map(len, values)) <= {2}
-            and set(map(type, chain.from_iterable(values))) <= {int}):
+            and set(map(type, flat := [*chain.from_iterable(values)])) <= {int}):
         return None
     try:
-        xy = np.fromiter(chain.from_iterable(values), np.int64, 2 * len(values))
+        xy = np.fromiter(flat, np.int64, len(flat))
     except OverflowError:
         return None
     if len(xy) and not -COORD_BOUND < xy.min() <= xy.max() < COORD_BOUND:
@@ -89,15 +89,15 @@ def _connected_rows(xy: np.ndarray):
         return None
     width = x1 - x0 + 1
     key = np.sort((y - y0) * width + x - x0)
-    key = key[np.diff(key, prepend=-1) != 0]
+    key = key[np.r_[True, key[1:] != key[:-1]]]
     # A run starts where a key does not follow the one before, or a row starts.
-    run = np.cumsum((np.diff(key, prepend=key[0]) != 1) | (key % width == 0)) - 1
+    run = np.cumsum(np.r_[True, key[1:] != key[:-1] + 1] | (key % width == 0)) - 1
     above = np.minimum(np.searchsorted(key, key + width), len(key) - 1)
     joined = key[above] == key + width
     # Row-major cells meet the runs above left to right: repeats are adjacent.
     lo, hi = run[joined], run[above[joined]]
-    first = (np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0)
-    lo, hi = lo[first], hi[first]
+    step = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    lo, hi = np.r_[lo[:1], lo[1:][step]], np.r_[hi[:1], hi[1:][step]]
     root, a, b = np.arange(run[-1] + 1), lo, hi
     while (a != b).any():
         np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))

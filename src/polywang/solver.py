@@ -6,14 +6,15 @@ enumerate run Knuth's Algorithm X on an explicit stack, memoising each finished
 subtree's solution and node counts on the covered-cell bitmask, for at most
 ``_MEMO_CAP`` masks, as in Knuth, TAOCP Vol. 4B, 7.2.2.1.  ``check_tiling``
 verifies a given placement list and is the workhorse for simulator output.  It
-turns each placed row run into flat cell intervals and sorts their starts and
-ends, and sweeps over them (after Bentley's note on Klee's measure problem);
-no array it builds is sized by the area.
+readies each piece's row runs once, places them as flat intervals, sorts their
+starts and ends (int32 below 2**31 cells) and sweeps over them (after Bentley's
+note on Klee's measure problem); no array it builds is sized by the area.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count, repeat
 from math import inf
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
@@ -67,15 +68,21 @@ class Rectangle:
         inside = (xs >= 0) & (xs < self.width) & (ys >= 0) & (ys < self.height)
         return np.where(inside, ys * self.width + xs, -1)
 
-    def runs(self, xs: np.ndarray, ys: np.ndarray, lengths: np.ndarray):
-        """Flat [start, end) of the cells inside of each row run of
-        ``lengths`` cells from (xs, ys), empty on a row outside, and the
-        times each wraps its row: never."""
+    def prepare(self, first: np.ndarray, lengths: np.ndarray):
+        """A piece's row runs (first cells, lengths) as ``runs`` takes them."""
+        return (*first.T, lengths)
+
+    def runs(self, runs, ox: np.ndarray, oy: np.ndarray):
+        """Row start, flat [start, end) of the cells inside and times it
+        wraps its row (never) of each prepared run placed at each offset
+        (ox, oy), one row per placement; empty, at row 0, on a row outside."""
+        rx, ry, lengths = runs
+        xs, ys = ox[:, None] + rx, oy[:, None] + ry
         inside = (ys >= 0) & (ys < self.height)
         row = np.where(inside, ys * self.width, 0)
         start = np.clip(xs, 0, self.width)
         end = np.where(inside, np.clip(xs + lengths, 0, self.width), start)
-        return row + start, row + end, np.zeros_like(start)
+        return row, row + start, row + end, np.zeros_like(start)
 
     def to_json(self) -> dict:
         return {"rect": [self.width, self.height]}
@@ -102,15 +109,27 @@ class Torus:
         xr, yr = self.lattice.reduce_points(xs, ys)
         return yr * self.width + xr
 
-    def runs(self, xs: np.ndarray, ys: np.ndarray, lengths: np.ndarray):
-        """Flat [start, end) in its reduced row of each row run of ``lengths``
-        cells from (xs, ys), and the times it wraps that row.  A run stays in
-        its row, x taken mod width: it covers the whole row ``wraps`` times,
-        plus [start, end), or minus [end, start) when end < start."""
-        xr, yr = self.lattice.reduce_points(xs, ys)
-        wraps, xe = np.divmod(xr + lengths, self.width)
-        row = yr * self.width
-        return row + xr, row + xe, wraps
+    def prepare(self, first: np.ndarray, lengths: np.ndarray):
+        """As Rectangle.prepare: starts reduced, lengths as whole rows + rest."""
+        return (*self.lattice.reduce_points(*first.T), *np.divmod(lengths, self.width))
+
+    def runs(self, runs, ox: np.ndarray, oy: np.ndarray):
+        """As Rectangle.runs, at reduced offsets: a run covers its row ``wraps``
+        times plus [start, end), or minus [end, start) if end < start.  Reduced
+        starts at reduced offsets lie within one basis step (c, b) of the domain."""
+        a, b, c = self.lattice.hnf
+        rx, ry, whole, rest = runs
+        row = oy[:, None] + ry
+        over = row >= b
+        row -= over * b
+        x = ox[:, None] + rx - over * c
+        x += (x < 0) * a
+        x -= (x >= a) * a
+        end = x + rest
+        seam = end >= a
+        end -= seam * a
+        row *= a
+        return row, x + row, end + row, whole + seam
 
     def to_json(self) -> dict:
         return {"lattice": [list(self.lattice.b1), list(self.lattice.b2)]}
@@ -137,9 +156,22 @@ def region_from_json(obj: dict) -> Region:
 Placement = NamedTuple("Placement", [("piece", str), ("at", Vec)])
 
 
-class Placements:
+class Records:
+    """Records with the same ``keys`` as one column per key (a list, an int
+    array, or a ``Placements`` for its piece names), for ``cli._json_text``."""
+
+    def __init__(self, keys: tuple[str, ...], *columns):
+        self.keys, self.columns = keys, columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
+class Placements(Records):
     """Placement records as columns, in file order: piece ``names`` in order
     of first use, a ``piece`` index into them and a read-only int64 ``at``."""
+
+    keys = ("piece", "at")
 
     def __init__(self, names: Iterable[str], piece, at):
         self.names, self.piece, self.at = tuple(names), np.asarray(piece), cell_array(at)
@@ -173,6 +205,10 @@ class Placements:
                                            f"magnitude below 2**31, got {at!r}")
         return cls._of_columns(pieces, ats)
 
+    @property
+    def columns(self) -> tuple:
+        return self, self.at
+
     def __len__(self) -> int:
         return len(self.piece)
 
@@ -184,26 +220,32 @@ class Placements:
         return map(Placement, self.piece_names(), map(tuple, self.at.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverReport:
-    """Exact-cover verdict: a tiling is valid iff every field is empty."""
+    """Exact-cover verdict as int64 columns: uncovered cells ``gaps``, each
+    overlap record's ``cell`` and placements ``a``, ``b``, and cells ``outside``
+    the region; tuple views derived on first read.  Valid iff all are empty."""
 
-    uncovered: tuple[Cell, ...]
-    overlaps: tuple[tuple[Cell, int, int], ...]
-    out_of_region: tuple[Cell, ...] = ()
+    gaps: np.ndarray
+    cell: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    outside: np.ndarray
 
     @property
     def exact(self) -> bool:
-        return not (self.uncovered or self.overlaps or self.out_of_region)
+        return not (len(self.gaps) or len(self.a) or len(self.outside))
+
+    uncovered = cached_property(lambda self: tuple(zip(*self.gaps.T.tolist())))
+    overlaps = cached_property(lambda self: tuple(zip(
+        zip(*self.cell.T.tolist()), self.a.tolist(), self.b.tolist())))
+    out_of_region = cached_property(lambda self: tuple(zip(*self.outside.T.tolist())))
 
     def to_json(self) -> dict:
-        return {
-            "uncovered": [list(c) for c in self.uncovered],
-            "overlaps": [
-                {"cell": list(c), "a": i, "b": j} for c, i, j in self.overlaps
-            ],
-            "out_of_region": [list(c) for c in self.out_of_region],
-        }
+        """The report for ``cli._json_text``, written from the columns."""
+        return {"uncovered": self.gaps,
+                "overlaps": Records(("cell", "a", "b"), self.cell, self.a, self.b),
+                "out_of_region": self.outside}
 
 
 def piece_map(pieces: Iterable[Polyomino]) -> dict[str, Polyomino]:
@@ -223,15 +265,15 @@ def _row_runs(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xy[first], np.diff(first, append=len(xy))
 
 
-def _intervals(start, end, wraps, width: int):
-    """Non-empty flat [lo, hi) intervals that cover each cell as often as the
-    runs (start, end, wraps) from ``region.runs`` do."""
-    start, end, wraps = start.ravel(), end.ravel(), wraps.ravel()
-    row = start // width * width
+def _intervals(row, start, end, wraps, width: int, dtype):
+    """Non-empty flat [lo, hi) intervals, of ``dtype``, that cover each cell
+    as often as the runs (row, start, end, wraps) from ``region.runs`` do."""
+    row, start, end, wraps = row.ravel(), start.ravel(), end.ravel(), wraps.ravel()
     seam = end < start  # [start, row end) and [row start, end), one wrap less
     whole = np.repeat(row, wraps - seam)
-    lo = np.concatenate([start, row[seam], whole])
-    hi = np.concatenate([np.where(seam, row + width, end), end[seam], whole + width])
+    lo = np.concatenate([start, row[seam], whole], dtype=dtype)
+    hi = np.concatenate([np.where(seam, row + width, end), end[seam], whole + width],
+                        dtype=dtype)
     keep = lo < hi
     return lo[keep], hi[keep]
 
@@ -240,43 +282,43 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
                  placements: Placements | Sequence[Placement]) -> CoverReport:
     """Exact-cover check from sorted run endpoints; reports gaps and double covers.
 
-    Each piece splits once into row runs.  A batch (whole placements of one
-    piece, at most ``_BATCH_POINTS`` placed points, or one placement of a
-    larger piece) places its runs, and ``region.runs`` gives each run's flat
-    [start, end), clipped to a rectangle or wrapped round a torus row: one or
-    more flat intervals.  The cover is exact iff the sorted starts and ends
-    chain from 0 to the area.  Else a sweep over starts (+1) and ends (-1)
-    gives each segment's coverage.  Memory is bounded by the number of runs,
-    not by the area or by placements x piece size.  Points are materialised
-    only for placements with a run that leaves a rectangle or meets a segment
-    covered twice.  The overlap records come from those hot points, sorted by
-    cell and owner, by index arithmetic: O(points + records), no Python loop.
+    Each piece splits once into row runs, readied by ``region.prepare``.  A
+    batch (whole placements of one piece, at most ``_BATCH_POINTS`` placed
+    points, or one placement of a larger piece) places them: ``region.runs``
+    gives each run's row and flat [start, end), clipped to a rectangle or
+    wrapped round a torus row, one or more flat intervals.  The cover is
+    exact iff the sorted starts and ends (int32 for areas below 2**31) chain
+    from 0 to the area.  Else a sweep over starts (+1) and ends (-1) gives
+    each segment's coverage.  Memory is bounded by the number of runs, not by
+    the area or by placements x piece size.  Points are materialised only
+    for placements with a run that leaves a rectangle or meets a segment
+    covered twice; sorted by cell and owner, they give the overlap records by
+    index arithmetic: O(points + records), no Python loop.
     """
     table = piece_map(pieces)
     placements = Placements.of(placements)
     if unknown := [name for name in placements.names if name not in table]:
         raise SolverInputError(f"unknown piece {unknown[0]!r}")
 
-    # A torus moves each offset into its fundamental domain, once: this keeps
-    # Torus.runs' k * c inside int64 for tori of up to 2**32 cells, not 2**31.
+    # A torus moves each offset into its fundamental domain, once.
     at = (np.column_stack(region.lattice.reduce_points(*placements.at.T))
           if isinstance(region, Torus) else placements.at)
     ox, oy = at.T
-    # Per piece: its x and y columns, its runs' first x, first y and length,
-    # and its placements' ids, in file order.
+    # Per piece: its x and y columns, its run lengths, its runs as
+    # region.runs takes them, and its placements' ids, in file order.
     runs = [_row_runs(table[name].xy) for name in placements.names]
-    shapes = [(*table[name].xy.T, *first.T, lengths, np.flatnonzero(placements.piece == k))
+    shapes = [(*table[name].xy.T, lengths, region.prepare(first, lengths),
+               np.flatnonzero(placements.piece == k))
               for k, (name, (first, lengths)) in enumerate(zip(placements.names, runs))]
 
     def batches():
         """Each batch's placement ids, its piece's x and y columns and run
         lengths, and region.runs of its runs, one row per placement."""
-        for cx, cy, rx, ry, rl, pids in shapes:
+        for cx, cy, lengths, prepared, pids in shapes:
             step = max(1, _BATCH_POINTS // len(cx))
             for lo in range(0, len(pids), step):
                 ids = pids[lo:lo + step]
-                yield ids, cx, cy, rl, region.runs(ox[ids, None] + rx,
-                                                   oy[ids, None] + ry, rl)
+                yield ids, cx, cy, lengths, region.runs(prepared, ox[ids], oy[ids])
 
     def cells_of(ids, cx, cy):
         """x, y and flat cell index of the points the placements ``ids`` place."""
@@ -284,23 +326,26 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
         return xs, ys, region.index(xs, ys)
 
     width, area = region.width, region.area
-    starts, ends = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    key = np.int32 if area < 2 ** 31 else np.int64  # interval ends lie in [0, area]
+    starts, ends = [np.zeros(0, key)], [np.zeros(0, key)]
     outside: list[Cell] = []
-    for ids, cx, cy, rl, (start, end, wraps) in batches():
-        lo, hi = _intervals(start, end, wraps, width)
+    for ids, cx, cy, lengths, (row, start, end, wraps) in batches():
+        lo, hi = _intervals(row, start, end, wraps, width, key)
         starts.append(lo)
         ends.append(hi)
-        cut = (end - start + wraps * width < rl).any(axis=1)
-        if cut.any():  # never on a torus
+        cut = isinstance(region, Rectangle) and (end - start < lengths).any(axis=1)
+        if np.any(cut):  # a torus never clips a run
             xs, ys, idx = cells_of(ids[cut], cx, cy)
             off = idx < 0
             outside.extend(zip(xs[off].tolist(), ys[off].tolist()))
+    outside = cell_array(canonical(outside))
     starts, ends = np.concatenate(starts), np.concatenate(ends)
     starts.sort()
     ends.sort()
+    no_cells, no_ids = np.zeros((0, 2), np.int64), np.zeros(0, np.int64)
     if (len(starts) and starts[0] == 0 and ends[-1] == area
             and np.array_equal(starts[1:], ends[:-1])):
-        return CoverReport((), (), canonical(outside))
+        return CoverReport(no_cells, no_cells, no_ids, no_ids, outside)
 
     # Segment [edges[i], edges[i + 1]) is covered cover[i] times; events at 0
     # and the area bound the first and the last.
@@ -315,9 +360,7 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
     except ValueError as exc:  # more bytes than numpy can address
         raise MemoryError(str(exc)) from None
     ys, xs = np.divmod(gaps, width)
-    uncovered = tuple(zip(xs.tolist(), ys.tolist()))
-
-    overlaps: tuple[tuple[Cell, int, int], ...] = ()
+    gaps, overlaps = np.column_stack((xs, ys)), (no_cells, no_ids, no_ids)
     if (cover > 1).any():
         # Sorted hot segments (covered twice or more), and the area past them.
         hot_lo, hot_hi = np.append(edges[:-1][cover > 1], area), edges[1:][cover > 1]
@@ -326,10 +369,10 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
             return hot_lo[np.searchsorted(hot_hi, lo, side="right")] < hi
 
         hot_idx, hot_owner = [], []
-        for ids, cx, cy, _, (start, end, wraps) in batches():
+        for ids, cx, cy, _, (row, start, end, wraps) in batches():
             # A run that wraps may touch any cell of its row.
-            lo = np.where(wraps > 0, start // width * width, start)
-            hi = np.where(wraps > 0, lo + width, end)
+            lo = np.where(wraps > 0, row, start)
+            hi = np.where(wraps > 0, row + width, end)
             # An empty run may read as hot: its cells are filtered below.
             ids = ids[hot(lo, hi).any(axis=1)]
             _, _, idx = cells_of(ids, cx, cy)
@@ -347,9 +390,8 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
         a = np.repeat(np.arange(n), later)
         b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
         ys, xs = np.divmod(idx[a], width)
-        overlaps = tuple(zip(zip(xs.tolist(), ys.tolist()),
-                             owner[a].tolist(), owner[b].tolist()))
-    return CoverReport(uncovered, overlaps, canonical(outside))
+        overlaps = np.column_stack((xs, ys)), owner[a], owner[b]
+    return CoverReport(gaps, *overlaps, outside)
 
 
 def contained_placements(container: CellSet,

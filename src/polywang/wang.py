@@ -170,7 +170,10 @@ def _torus_solutions(tileset: WangTileSet, p: int, q: int) -> Iterator[tuple[int
     """
     n = tileset.n
     tiles = tileset.tiles
-    cells = [-1] * (p * q)
+    try:  # refused before any allocation when too long, or past any index
+        cells = [-1] * (p * q)
+    except (MemoryError, OverflowError):
+        raise MemoryError(f"a {p}x{q} torus is too large to hold") from None
 
     def fits(idx: int) -> bool:
         # West and south neighbours are placed; so is the wrapped east or

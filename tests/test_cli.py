@@ -240,6 +240,16 @@ def test_solve_wang_deep_torus(workdir):
                 "-o", workdir / "deep_unsat.txt") == 1
 
 
+@pytest.mark.parametrize("side", [1100000000, 3037000500])
+def test_solve_wang_torus_too_large_to_hold_is_resource_limit(workdir, capsys, side):
+    # 1.21e18 cells is more than a list can hold, and 3037000500**2 >= 2**63
+    # is past any index: both are refused before anything is allocated.
+    capsys.readouterr()
+    assert _run("solve-wang", workdir / "set.json", "--torus", side, side) == 3
+    assert capsys.readouterr().err == \
+        f"error: out of memory: a {side}x{side} torus is too large to hold\n"
+
+
 def test_simulate_verify_render(workdir):
     pieces = workdir / "pieces.json"
     tiling = workdir / "tiling.json"

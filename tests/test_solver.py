@@ -1,18 +1,22 @@
+import hashlib
 import json
 import tracemalloc
+from collections import Counter
 from functools import cache
 from itertools import count, islice
 from math import cos, pi, prod
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polywang import cli, solver
 from polywang.blocks import BlockKind, geometry
-from polywang.geometry import (COORD_BOUND, Polyomino, TorusLattice, is_coord_pair,
-                               translate)
+from polywang.geometry import (COORD_BOUND, Polyomino, TorusLattice, canonical,
+                               is_coord_pair, translate)
+from polywang.simulate import emit_placements
 from polywang.solver import (
     Placement,
     Placements,
@@ -696,6 +700,66 @@ def test_check_tiling_near_coordinate_bound(region, case):
     report = check_tiling(region, (piece,), placements)
     assert (report.uncovered, report.overlaps, report.out_of_region) == \
         _cover_oracle(region, (piece,), placements)
+
+
+_NEAR_BOUND = st.one_of(st.integers(-3, 3), st.integers(-_FAR, 40 - _FAR),
+                        st.integers(_FAR - 40, _FAR))
+
+
+# Skewed lattices (c != 0), pieces taller than the torus (b <= 4 here), runs
+# that wrap a row several times (a <= 12) and offsets near the bound.
+@given(_torus_lattices(),
+       st.lists(st.tuples(st.integers(-9, 9), st.integers(-6, 6), st.integers(1, 40)),
+                min_size=1, max_size=4),
+       st.lists(st.tuples(_NEAR_BOUND, _NEAR_BOUND), min_size=1, max_size=4))
+@example(Torus(TorusLattice((3, 0), (1, 2))), [(0, -5, 10), (2, 4, 1)],
+         [(_FAR, -_FAR), (-_FAR, _FAR), (2, 1)])
+@example(Torus(TorusLattice((4, -1), (1, 3))), [(-9, 6, 40)], [(_FAR - 1, _FAR)])
+@settings(max_examples=300, deadline=None)
+def test_torus_runs_of_prepared_piece_cover_reduced_cells(region, bars, offsets):
+    cells = {(x + i, y) for x, y, n in bars for i in range(n)}
+    first, lengths = solver._row_runs(np.array(canonical(cells)))
+    ox, oy = region.lattice.reduce_points(*np.array(offsets).T)
+    a = region.width
+    got = Counter()
+    for row, start, end, wraps in zip(*(v.ravel().tolist() for v in region.runs(
+            region.prepare(first, lengths), ox, oy))):
+        assert row % a == 0 and row <= start < row + a and row <= end < row + a
+        got.update(((start - row + i) % a, row // a)
+                   for i in range(end - start + wraps * a))
+    assert got == Counter(region.lattice.reduce((x + dx, y + dy))
+                          for dx, dy in offsets for x, y in cells)
+
+
+# sha256 of `polywang verify`'s report.json on the three-tile 3x1 torus with
+# its first placement deleted and its first linker across the seam doubled.
+_DEFECTS_REPORT_SHA256 = \
+    "1dc4c123be79c1ad81778034abfaaf897412bc00c5683da494240cfe46ab8219"
+
+
+def test_large_failure_report_pinned(tmp_path, three_tile_set, three_tile_torus,
+                                     three_tile_pieces):
+    sim = emit_placements(three_tile_set, three_tile_torus)
+    region, pieces = Torus(sim.lattice), three_tile_pieces.pieces
+    a, b, _ = sim.lattice.hnf
+    table = {p.name: p.xy for p in pieces}
+    placements = list(sim.placements)[1:]
+    # A linker with cells out of the fundamental domain [0, a) x [0, b).
+    seam = next(pl for pl in placements if pl.piece.endswith("linker")
+                and not ((table[pl.piece] + pl.at >= 0)
+                         & (table[pl.piece] + pl.at < (a, b))).all())
+    placements.append(seam)
+    report = check_tiling(region, pieces, placements)
+    oracle = _cover_oracle(region, pieces, placements)
+    assert (report.uncovered, report.overlaps, report.out_of_region) == oracle
+    assert oracle[0] and len(oracle[1]) == len(table[seam.piece])
+    piece_file, tiling, out = tmp_path / "pieces.json", tmp_path / "sim.json", \
+        tmp_path / "report.json"
+    cli._dump_json(str(piece_file), three_tile_pieces.to_json())
+    cli._dump_json(str(tiling), {**region.to_json(),
+                                 "placements": Placements.of(placements)})
+    assert cli.run(["verify", str(piece_file), str(tiling), "-o", str(out)]) == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _DEFECTS_REPORT_SHA256
 
 
 def test_build_universe_pinned_rows():
