@@ -101,6 +101,8 @@ def _rows(obj, end: str):
     """One row format and its columns for the whole list ``obj``, or None."""
     if isinstance(obj, solver.Records):
         return _records(obj.keys, obj.columns, end)
+    if isinstance(obj, np.ndarray) and obj.ndim == 2:  # one column, read row by row
+        return f"[{end} %d,{end} %d{end}]", [obj.ravel().tolist()]
     return _column(obj, end)
 
 
@@ -124,8 +126,8 @@ def _json_text(obj, end: str = "\n") -> str:
                  for k, v in obj.items()]
     elif rows := _rows(obj, indent):
         row, columns = rows  # one format string for the whole list
-        items = [f",{indent}".join([row] * len(obj))
-                 % tuple(chain.from_iterable(zip(*columns)))]
+        values = columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns))
+        items = [f",{indent}".join([row] * len(obj)) % tuple(values)]
     else:
         items = [_json_text(v, indent) for v in obj]
     return opening + indent + f",{indent}".join(items) + end + closing

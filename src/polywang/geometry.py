@@ -3,7 +3,8 @@ quotients.
 
 All coordinates are unit cells (x, y) with y growing northward.  Cell sets
 are plain frozensets of (x, y) tuples, or int64 (k, 2) arrays of (x, y)
-rows; the canonical order for serialization is (y, x).
+rows, serialized in canonical (y, x) order.  A Polyomino also keeps its
+row runs, the first cell and length of each maximal run along a row.
 """
 
 from __future__ import annotations
@@ -76,29 +77,32 @@ def bounding_box(cells) -> tuple[int, int, int, int]:
 
 
 def _connected_rows(xy: np.ndarray):
-    """The distinct cells of non-empty (x, y) rows, in canonical (y, x)
-    order, if they are edge-connected; else None.  They are sorted by
-    row-major keys in their bounding box, reduced column by column (none is
-    formed when a side is as long as the rows are many: such cells are not
-    connected); each row run is joined to the runs it touches above by
-    hooking larger roots under smaller ones and pointer jumping (Shiloach
-    and Vishkin, 1982)."""
+    """The distinct cells of non-empty (x, y) rows in canonical (y, x) order
+    and their ``row_runs``, if edge-connected; else None.  Cells are sorted
+    by row-major keys in their bounding box, reduced column by column (none
+    is formed when a side is as long as the rows are many: such cells are
+    not connected).  Two runs touch iff one's first cell is next to the
+    other, above or below: one search of the run bounds pairs them, and
+    hooking larger roots under smaller ones and pointer jumping joins the
+    pairs (Shiloach and Vishkin, 1982)."""
     x, y = xy.T
     x0, y0, x1, y1 = int(x.min()), int(y.min()), int(x.max()), int(y.max())
     if max(x1 - x0, y1 - y0) >= len(xy):
         return None
     width = x1 - x0 + 1
     key = np.sort((y - y0) * width + x - x0)
-    key = key[np.r_[True, key[1:] != key[:-1]]]
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     # A run starts where a key does not follow the one before, or a row starts.
-    run = np.cumsum(np.r_[True, key[1:] != key[:-1] + 1] | (key % width == 0)) - 1
-    above = np.minimum(np.searchsorted(key, key + width), len(key) - 1)
-    joined = key[above] == key + width
-    # Row-major cells meet the runs above left to right: repeats are adjacent.
-    lo, hi = run[joined], run[above[joined]]
-    step = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    lo, hi = np.r_[lo[:1], lo[1:][step]], np.r_[hi[:1], hi[1:][step]]
-    root, a, b = np.arange(run[-1] + 1), lo, hi
+    col = key % width
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1] + 1)) | (col == 0))
+    lengths = np.concatenate((first[1:], [len(key)])) - first
+    start = key[first]
+    # A key lies in run i iff exactly 2i + 1 run bounds are at most it.
+    at = np.searchsorted(np.column_stack((start, start + lengths)).ravel(),
+                         np.concatenate((start + width, start - width)), "right")
+    touch = at % 2 == 1
+    root = np.arange(len(first))
+    a, b = lo, hi = np.concatenate((root, root))[touch], at[touch] // 2
     while (a != b).any():
         np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
         while (root != (jumped := root[root])).any():
@@ -106,15 +110,28 @@ def _connected_rows(xy: np.ndarray):
         a, b = root[lo], root[hi]
     if root.any():  # the runs of one piece all have root 0
         return None
-    dy, dx = np.divmod(key, width)
-    return np.column_stack((dx + x0, dy + y0))
+    xy = np.column_stack((col + x0, key // width + y0))
+    return xy, xy[first], lengths
+
+
+def row_runs(cells) -> tuple[np.ndarray, np.ndarray]:
+    """First cell and length of each maximal run of cells along a row, in
+    (y, x) order: a Polyomino's stored runs, or those of cells as
+    ``cell_array`` takes them (a repeated cell counts once)."""
+    if isinstance(cells, Polyomino):
+        return cells.runs
+    x, y = (xy := cell_array(cells))[np.lexsort(xy.T)].T
+    # Sorted cells run on while they stay in a row and step 0 or 1 along it.
+    cut = np.flatnonzero((np.diff(y) != 0) | (np.diff(x) > 1)) + 1
+    first = np.concatenate(([0], cut))[:len(x)]
+    last = np.concatenate((cut - 1, [len(x) - 1]))[:len(x)]
+    return np.column_stack((x[first], y[first])), x[last] - x[first] + 1
 
 
 def is_connected(cells: Iterable[Cell]) -> bool:
     """True iff the shared-edge adjacency graph on the cells is connected
     (never for no cells; diagonal contact does not count)."""
-    xy = cell_array(cells)
-    return len(xy) > 0 and _connected_rows(xy) is not None
+    return len(xy := cell_array(cells)) > 0 and _connected_rows(xy) is not None
 
 
 def rasterize(outline: tuple[Cell, ...]) -> CellSet:
@@ -204,19 +221,20 @@ class TorusLattice:
 
 class Polyomino:
     """A named, non-empty, edge-connected set of unit cells: ``xy``, a
-    read-only int64 array of distinct (x, y) rows in canonical (y, x)
-    order, built by the connectivity check; ``cells`` is a frozenset view
-    of it, derived on first use."""
+    read-only int64 array of distinct (x, y) rows in canonical (y, x) order,
+    and ``runs``, its read-only ``row_runs``, both from the connectivity
+    check; ``cells`` is a frozenset view of ``xy``, derived on first use."""
 
     def __init__(self, cells, name: str):
         self.name = name
         xy = cell_array(cells)
         if not len(xy):
             raise GeometryError(f"polyomino {name!r} is empty")
-        self.xy = _connected_rows(xy)
-        if self.xy is None:
+        if (rows := _connected_rows(xy)) is None:
             raise GeometryError(f"polyomino {name!r} is not edge-connected")
-        self.xy.flags.writeable = False
+        for a in rows:
+            a.flags.writeable = False
+        self.xy, self.runs = rows[0], rows[1:]
 
     @cached_property
     def cells(self) -> CellSet:

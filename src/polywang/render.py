@@ -1,6 +1,6 @@
 """Deterministic SVG rendering of piece sets and tilings.
 
-Each distinct piece is traced once from its cell array, as one closed path
+Each distinct piece is traced once from its row runs, as one closed path
 through the corners of its boundary loops (outer loops and holes, even-odd
 fill) under ``<defs>``; each placement is one ``<use>`` of that path at its
 offset.  Stored data keeps y growing north; the y-flip into SVG screen
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Cell, Polyomino, bounding_box, cell_array
+from .geometry import Cell, Polyomino, bounding_box, row_runs
 from .solver import Placement, Placements, piece_map
 
 # A larger grid is a resource limit (a 16 x 16 tiling of 16-tile pieces has 53,830).
@@ -42,41 +42,38 @@ class RenderSpec:
 
 
 def boundary_loops(cells) -> list[list[Cell]]:
-    """The corners of each boundary loop of a cell set (an int64 (k, 2)
-    array or an iterable of cells; a repeated cell counts once), interior
-    on the left: outer loops counterclockwise and holes clockwise, so signed
-    loop areas sum to the cell count.  Loops come in order of their least
-    corner and start there; at a checkerboard corner a loop turns left."""
-    xy = cell_array(cells)
-    if not len(xy):
+    """The corners of each boundary loop of a cell set (a Polyomino, traced
+    from its stored row runs, an int64 (k, 2) array or an iterable of
+    cells; a repeated cell counts once), interior on the left: outer loops
+    counterclockwise and holes clockwise, so signed loop areas sum to the
+    cell count.  Loops come in order of their least corner and start there;
+    at a checkerboard corner a loop turns left."""
+    first, n = row_runs(cells)
+    if not len(n):
         return []
-    # Distinct cells in column (x, y) order, and their row (y, x) order: a
-    # cell's neighbour above (right) is the next cell in column (row) order.
-    x, y = xy[np.lexsort((xy[:, 1], xy[:, 0]))].T
-    keep = np.r_[True, (np.diff(x) != 0) | (np.diff(y) != 0)]
-    x, y = x[keep], y[keep]
-    row = np.lexsort((x, y))
-    up = (np.diff(x) == 0) & (np.diff(y) == 1)
-    right = (np.diff(y[row]) == 0) & (np.diff(x[row]) == 1)
-    # Bare sides heading east (bottom), north (right), west (top) and south
-    # (left), d = 0..3, cut into maximal straight runs from a to b along a
-    # line (a cell's right and top sides lie on lines x + 1 and y + 1).
-    bare = np.ones((4, len(x)), bool)
-    bare[0, 1:] = bare[2, :-1] = ~up
-    bare[1, row[:-1][right]] = bare[3, row[1:][right]] = False
-    runs = []
-    for d in range(4):
-        i = row[bare[d, row]] if d % 2 == 0 else np.flatnonzero(bare[d])
-        line, pos = (y[i], x[i]) if d % 2 == 0 else (x[i], y[i])
-        cut = np.flatnonzero((np.diff(line) != 0) | (np.diff(pos) != 1)) + 1
-        first, last = np.r_[0, cut], np.r_[cut - 1, len(pos) - 1]
-        line, a, b = line[first] + (d in (1, 2)), pos[first], pos[last] + 1
-        a, b = (a, b) if d < 2 else (b, a)
-        ends = (a, line, b, line) if d % 2 == 0 else (line, a, line, b)
-        runs.append((*ends, np.full(len(a), d)))
-    sx, sy, ex, ey, heading = map(np.concatenate, zip(*runs))
-    # A corner pairs the runs ending there with those starting there; at a
-    # checkerboard corner (two of each) a run heading d turns left, to d + 1.
+    x, y = first.T
+    # Maximal bare sides heading east (bottom), north (right), west (top) and
+    # south (left), d = 0..3.  A sweep of line y over the sorted run ends of
+    # rows y (weight 1) and y - 1 (weight 2) finds bottom sides where the
+    # weights sum to 1 and top sides where they sum to 2.
+    line, pos = (y + [[0], [0], [1], [1]]).ravel(), (x + n * [[0], [1], [0], [1]]).ravel()
+    order = np.lexsort((pos, line))
+    line, pos = line[order], pos[order]
+    weight = np.cumsum(np.repeat([1, -1, 2, -2], len(n))[order])[:-1]
+    i = np.flatnonzero(((weight == 1) | (weight == 2)) & (pos[1:] > pos[:-1]))
+    east = weight[i] == 1
+    sides = [(pos[i + 1 - east], line[i], pos[i + east], line[i], 2 - 2 * east)]
+    # Left sides on lines x and right sides on lines x + n, merged down columns.
+    line, pos, d = (x + n * [[0], [1]]).ravel(), np.tile(y, 2), np.repeat([3, 1], len(n))
+    order = np.lexsort((pos, line, d))
+    line, pos, d = line[order], pos[order], d[order]
+    cut = np.flatnonzero((np.diff((d, line, pos)) != [[0], [0], [1]]).any(axis=0)) + 1
+    i, j = np.concatenate(([0], cut)), np.concatenate((cut, [len(pos)])) - 1
+    a, b = np.where(d[i] == 1, (pos[i], pos[j] + 1), (pos[j] + 1, pos[i]))
+    sides.append((line[i], a, line[i], b, d[i]))
+    sx, sy, ex, ey, heading = map(np.concatenate, zip(*sides))
+    # A corner pairs the sides ending there with those starting there; at a
+    # checkerboard corner (two of each) a side heading d turns left, to d + 1.
     by_start = np.lexsort((heading, sy, sx))
     succ = np.empty_like(heading)
     succ[np.lexsort(((heading + 1) % 4, ey, ex))] = by_start
@@ -140,7 +137,7 @@ def render_svg(spec: RenderSpec, payload: Sequence[Polyomino | Placement] | Plac
         "<defs>",
     ]
     for k, piece in enumerate(shapes):
-        lines.append(f'<path id="p{k}" d="{path_data(piece.xy, s, 0)}" '
+        lines.append(f'<path id="p{k}" d="{path_data(piece, s, 0)}" '
                      f'fill="{PALETTE[k % len(PALETTE)]}" fill-rule="evenodd" '
                      f'stroke="#222" stroke-width="0.5"/>')
     lines.append("</defs>")
@@ -148,13 +145,10 @@ def render_svg(spec: RenderSpec, payload: Sequence[Polyomino | Placement] | Plac
     lines += map('<use href="#p{}" x="{}" y="{}"/>'.format, shape.tolist(),
                  map(s.__mul__, ax), map(s.__mul__, ay))
     if spec.grid:
-        for gx in range(x0, x1 + 1):
-            lines.append(f'<line x1="{gx * s}" y1="{(flip - y1) * s}" '
-                         f'x2="{gx * s}" y2="{(flip - y0) * s}" '
-                         f'stroke="#ccc" stroke-width="0.25"/>')
-        for gy in range(y0, y1 + 1):
-            lines.append(f'<line x1="{x0 * s}" y1="{(flip - gy) * s}" '
-                         f'x2="{x1 * s}" y2="{(flip - gy) * s}" '
-                         f'stroke="#ccc" stroke-width="0.25"/>')
+        grid = '<line x1="{}" y1="{}" x2="{}" y2="{}" stroke="#ccc" stroke-width="0.25"/>'
+        lines += [grid.format(gx * s, (flip - y1) * s, gx * s, (flip - y0) * s)
+                  for gx in range(x0, x1 + 1)]
+        lines += [grid.format(x0 * s, (flip - gy) * s, x1 * s, (flip - gy) * s)
+                  for gy in range(y0, y1 + 1)]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

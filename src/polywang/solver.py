@@ -212,12 +212,9 @@ class Placements(Records):
     def __len__(self) -> int:
         return len(self.piece)
 
-    def piece_names(self) -> list[str]:
-        """The piece name of each placement."""
-        return [*map(self.names.__getitem__, self.piece.tolist())]
-
     def __iter__(self) -> Iterator[Placement]:
-        return map(Placement, self.piece_names(), map(tuple, self.at.tolist()))
+        return map(Placement, map(self.names.__getitem__, self.piece.tolist()),
+                   map(tuple, self.at.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,14 +254,6 @@ def piece_map(pieces: Iterable[Polyomino]) -> dict[str, Polyomino]:
     return out
 
 
-def _row_runs(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First cell and length of each run of consecutive cells in a row, for
-    cells in (y, x) order."""
-    step = np.diff(xy, axis=0)
-    first = np.flatnonzero(np.r_[True, (step[:, 0] != 1) | (step[:, 1] != 0)])
-    return xy[first], np.diff(first, append=len(xy))
-
-
 def _intervals(row, start, end, wraps, width: int, dtype):
     """Non-empty flat [lo, hi) intervals, of ``dtype``, that cover each cell
     as often as the runs (row, start, end, wraps) from ``region.runs`` do."""
@@ -282,7 +271,7 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
                  placements: Placements | Sequence[Placement]) -> CoverReport:
     """Exact-cover check from sorted run endpoints; reports gaps and double covers.
 
-    Each piece splits once into row runs, readied by ``region.prepare``.  A
+    Each piece's stored row runs are readied once by ``region.prepare``.  A
     batch (whole placements of one piece, at most ``_BATCH_POINTS`` placed
     points, or one placement of a larger piece) places them: ``region.runs``
     gives each run's row and flat [start, end), clipped to a rectangle or
@@ -304,38 +293,35 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
     at = (np.column_stack(region.lattice.reduce_points(*placements.at.T))
           if isinstance(region, Torus) else placements.at)
     ox, oy = at.T
-    # Per piece: its x and y columns, its run lengths, its runs as
-    # region.runs takes them, and its placements' ids, in file order.
-    runs = [_row_runs(table[name].xy) for name in placements.names]
-    shapes = [(*table[name].xy.T, lengths, region.prepare(first, lengths),
-               np.flatnonzero(placements.piece == k))
-              for k, (name, (first, lengths)) in enumerate(zip(placements.names, runs))]
+    # Each piece in file order, its runs as region.runs takes them, its placements.
+    shapes = [(piece, region.prepare(*piece.runs), np.flatnonzero(placements.piece == k))
+              for k, piece in enumerate(map(table.get, placements.names))]
 
     def batches():
-        """Each batch's placement ids, its piece's x and y columns and run
-        lengths, and region.runs of its runs, one row per placement."""
-        for cx, cy, lengths, prepared, pids in shapes:
-            step = max(1, _BATCH_POINTS // len(cx))
+        """Each batch's placement ids, its piece, and region.runs of the
+        piece's runs, one row per placement."""
+        for piece, prepared, pids in shapes:
+            step = max(1, _BATCH_POINTS // len(piece))
             for lo in range(0, len(pids), step):
                 ids = pids[lo:lo + step]
-                yield ids, cx, cy, lengths, region.runs(prepared, ox[ids], oy[ids])
+                yield ids, piece, region.runs(prepared, ox[ids], oy[ids])
 
-    def cells_of(ids, cx, cy):
+    def cells_of(ids, piece):
         """x, y and flat cell index of the points the placements ``ids`` place."""
-        xs, ys = (ox[ids, None] + cx).ravel(), (oy[ids, None] + cy).ravel()
+        xs, ys = (at[ids, None] + piece.xy).reshape(-1, 2).T
         return xs, ys, region.index(xs, ys)
 
     width, area = region.width, region.area
     key = np.int32 if area < 2 ** 31 else np.int64  # interval ends lie in [0, area]
     starts, ends = [np.zeros(0, key)], [np.zeros(0, key)]
     outside: list[Cell] = []
-    for ids, cx, cy, lengths, (row, start, end, wraps) in batches():
+    for ids, piece, (row, start, end, wraps) in batches():
         lo, hi = _intervals(row, start, end, wraps, width, key)
         starts.append(lo)
         ends.append(hi)
-        cut = isinstance(region, Rectangle) and (end - start < lengths).any(axis=1)
+        cut = isinstance(region, Rectangle) and (end - start < piece.runs[1]).any(axis=1)
         if np.any(cut):  # a torus never clips a run
-            xs, ys, idx = cells_of(ids[cut], cx, cy)
+            xs, ys, idx = cells_of(ids[cut], piece)
             off = idx < 0
             outside.extend(zip(xs[off].tolist(), ys[off].tolist()))
     outside = cell_array(canonical(outside))
@@ -369,16 +355,16 @@ def check_tiling(region: Region, pieces: Iterable[Polyomino],
             return hot_lo[np.searchsorted(hot_hi, lo, side="right")] < hi
 
         hot_idx, hot_owner = [], []
-        for ids, cx, cy, _, (row, start, end, wraps) in batches():
+        for ids, piece, (row, start, end, wraps) in batches():
             # A run that wraps may touch any cell of its row.
             lo = np.where(wraps > 0, row, start)
             hi = np.where(wraps > 0, row + width, end)
             # An empty run may read as hot: its cells are filtered below.
             ids = ids[hot(lo, hi).any(axis=1)]
-            _, _, idx = cells_of(ids, cx, cy)
+            _, _, idx = cells_of(ids, piece)
             keep = hot(idx, idx + 1)  # index -1, outside a rectangle, is not
             hot_idx.append(idx[keep])
-            hot_owner.append(np.repeat(ids, len(cx))[keep])
+            hot_owner.append(np.repeat(ids, len(piece))[keep])
         idx, owner = np.concatenate(hot_idx), np.concatenate(hot_owner)
         order = np.lexsort((owner, idx))
         idx, owner, n = idx[order], owner[order], len(order)

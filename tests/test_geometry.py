@@ -15,6 +15,7 @@ from polywang.geometry import (
     is_connected,
     is_coord_pair,
     rasterize,
+    row_runs,
     translate,
 )
 
@@ -295,6 +296,49 @@ def test_polyomino_cells_ignore_memory_order(cells, shift):
     assert np.array_equal(Polyomino(np.asfortranarray(xy), "p").xy, piece.xy)
     assert np.array_equal(Polyomino(xy[::-1], "p").xy, piece.xy)
     assert piece.canonical_cells() == canonical((x + shift, y + shift) for x, y in cells)
+
+
+def _walked_runs(cells):
+    """Oracle: [x, y, length] of each row run, walked over canonical(cells)."""
+    runs = []
+    for x, y in canonical(cells):
+        if runs and runs[-1][1] == y and runs[-1][0] + runs[-1][2] == x:
+            runs[-1][2] += 1
+        else:
+            runs.append([x, y, 1])
+    return runs
+
+
+# Each axis is left as drawn or moved so that its largest (smallest)
+# coordinate is 2**31 - 1 (-(2**31 - 1)).
+@given(_CELL_SETS, st.tuples(*[st.sampled_from([None, 1, -1])] * 2),
+       st.integers(0, 5))
+@example([(0, 0)], (1, -1), 1)  # a single cell, repeated, at the bound
+@example([(0, 0), (1, 0), (2, 0), (2, 1)], (None, 1), 3)
+@settings(max_examples=300)
+def test_row_runs_match_canonical_walk_and_expand_to_xy(cells, bound, repeats):
+    cells = list(cells)
+    for axis, side in enumerate(bound):
+        if side is not None and cells:
+            far = side * (COORD_BOUND - 1)
+            shift = far - (max if side > 0 else min)(c[axis] for c in cells)
+            cells = [tuple(v + shift * (i == axis) for i, v in enumerate(c))
+                     for c in cells]
+    cells += cells[:repeats]
+    expected = _walked_runs(cells)
+    for given_cells in (cells, np.array(cells, np.int64).reshape(-1, 2)):
+        first, lengths = row_runs(given_cells)
+        assert np.column_stack((first, lengths)).tolist() == expected
+    if not _bfs_connected(cells):
+        return
+    piece = Polyomino(cells, "p")
+    first, lengths = piece.runs
+    assert np.column_stack((first, lengths)).tolist() == expected
+    assert row_runs(piece) is piece.runs
+    assert not (first.flags.writeable or lengths.flags.writeable)
+    expanded = [(x + i, y) for (x, y), n in zip(first.tolist(), lengths.tolist())
+                for i in range(n)]
+    assert expanded == list(piece.canonical_cells()) == list(canonical(cells))
 
 
 def test_polyomino_validation():

@@ -14,7 +14,7 @@ from polywang.compiler import compile_pieces
 from polywang.render import (PALETTE, RenderSpec, RenderError, boundary_loops,
                              path_data, render_svg)
 from polywang.simulate import emit_placements
-from polywang.geometry import Polyomino, bounding_box, translate
+from polywang.geometry import Polyomino, bounding_box, is_connected, translate
 from polywang.wang import WangTileSet, solve_torus
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -100,6 +100,36 @@ def test_corner_loops_match_unit_edge_walk(cells, offset):
     expected = _oracle_corners(moved)
     assert boundary_loops(np.array(moved, np.int64).reshape(-1, 2)) == expected
     assert boundary_loops(frozenset(moved)) == expected
+
+
+@st.composite
+def barred_cells(draw):
+    """A union of horizontal bars up to 40 cells long, stacked over a few
+    rows, less some holes, with some checkerboard corners forced: a cell
+    (x, y) joined to (x + 1, y + 1) with (x + 1, y) and (x, y + 1) removed."""
+    bars = draw(st.lists(st.tuples(st.integers(-45, 5), st.integers(-2, 2),
+                                   st.integers(1, 40)), min_size=1, max_size=6))
+    cells = {(x + i, y) for x, y, n in bars for i in range(n)}
+    cells -= draw(st.sets(st.sampled_from(sorted(cells)), max_size=6))
+    if cells:
+        for x, y in draw(st.lists(st.sampled_from(sorted(cells)), max_size=3)):
+            cells = (cells | {(x, y), (x + 1, y + 1)}) - {(x + 1, y), (x, y + 1)}
+    return sorted(cells)
+
+
+@given(barred_cells())
+@example([(x, 0) for x in range(40)] + [(40, 1)] + [(x, 2) for x in range(41)])
+@example([(x, 0) for x in range(40) if x != 17] + [(x, 1) for x in range(40)]
+         + [(x, -1) for x in range(3, 37) if x % 9])  # holes and notches
+@settings(max_examples=300, deadline=None)
+def test_corner_loops_match_unit_edge_walk_on_long_runs(cells):
+    expected = _oracle_corners(cells)
+    assert boundary_loops(frozenset(cells)) == expected
+    assert boundary_loops(np.array(cells, np.int64).reshape(-1, 2)) == expected
+    if is_connected(cells):
+        piece = Polyomino(cells, "bars")
+        assert boundary_loops(piece) == expected
+        assert path_data(piece, 3, 7) == path_data(cells, 3, 7)
 
 
 def test_corner_loops_match_unit_edge_walk_on_blocks_and_pieces(three_tile_pieces):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from polywang import cli, solver
 from polywang.blocks import BlockKind, geometry
 from polywang.geometry import (COORD_BOUND, Polyomino, TorusLattice, canonical,
-                               is_coord_pair, translate)
+                               is_coord_pair, row_runs, translate)
 from polywang.simulate import emit_placements
 from polywang.solver import (
     Placement,
@@ -718,7 +718,7 @@ _NEAR_BOUND = st.one_of(st.integers(-3, 3), st.integers(-_FAR, 40 - _FAR),
 @settings(max_examples=300, deadline=None)
 def test_torus_runs_of_prepared_piece_cover_reduced_cells(region, bars, offsets):
     cells = {(x + i, y) for x, y, n in bars for i in range(n)}
-    first, lengths = solver._row_runs(np.array(canonical(cells)))
+    first, lengths = row_runs(np.array(canonical(cells)))
     ox, oy = region.lattice.reduce_points(*np.array(offsets).T)
     a = region.width
     got = Counter()
