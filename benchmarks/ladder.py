@@ -8,21 +8,23 @@ placements of its self-matching tile on a p x p torus, verifies them with
 ``check_tiling`` and renders the seven pieces.  Then it runs the same
 pipeline through ``cli.run`` on files in a temporary directory (compile,
 simulate, verify and the render of the tiling), so the reading and writing
-of JSON and SVG shows too (``cli_*_s``).  Each rung runs REPEATS times,
-each in a fresh Python process, so its ``ru_maxrss`` is that run's own
-peak: the peak after emit and the one before the CLI stages
-(``peak_rss_mb``) are recorded, so that verify's share shows, and
-``cli_peak_rss_mb`` is the peak at the end.  Each measure is recorded as
-the median of the repeats, with their [min, max] under ``<measure>_range``.
-The run (git SHA, versions, rungs) is appended to BENCH_ladder.json at the
-root of the checkout, or to --out.  The polywang measured is the one in
-this checkout's ``src/``.
+of JSON and SVG shows too (``cli_*_s``).  Each rung runs REPEATS times.
+Each run's library stages and its command-line stages run in two fresh
+Python processes, spawned from this small one, so each ``ru_maxrss`` is
+that part's own peak: the peak after emit and the one at the end of the
+library stages (``peak_rss_mb``) show verify's share, and
+``cli_peak_rss_mb`` is the command line's peak, not the heap the library
+stages left.  Each measure is recorded as the median of the repeats, with
+their [min, max] under ``<measure>_range``.  The run (git SHA, versions,
+rungs) is appended to BENCH_ladder.json at the root of the checkout, or to
+--out.  The polywang measured is the one in this checkout's ``src/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import platform
 import resource
 import statistics
@@ -46,14 +48,10 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def run_rung(n: int, t: int, p: int) -> dict:
-    """Compile, emit, verify and render one rung in this process, through
-    the library and then through the command line."""
+def rung_inputs(n: int, t: int, p: int):
+    """The Wang set of n tiles over 2**t colours and its self-matching
+    tiling of the p x p torus."""
     sys.path.insert(0, str(ROOT / "src"))
-    from polywang.compiler import compile_pieces
-    from polywang.render import RenderSpec, render_svg
-    from polywang.simulate import emit_placements
-    from polywang.solver import Torus, check_tiling
     from polywang.wang import WangTileSet, WangTiling
 
     m = 2 ** t
@@ -61,8 +59,17 @@ def run_rung(n: int, t: int, p: int) -> dict:
     # Tile 0 matches itself on every side; the others only fill out the set.
     tiles = [(colors[0],) * 4] + [
         tuple(colors[(k + j) % m] for j in range(4)) for k in range(1, n)]
-    tileset = WangTileSet.from_labels(tiles, colors)
-    tiling = WangTiling(p, p, True, (0,) * (p * p))
+    return WangTileSet.from_labels(tiles, colors), WangTiling(p, p, True, (0,) * (p * p))
+
+
+def run_rung(n: int, t: int, p: int) -> dict:
+    """Compile, emit, verify and render one rung in this process, through
+    the library."""
+    tileset, tiling = rung_inputs(n, t, p)
+    from polywang.compiler import compile_pieces
+    from polywang.render import RenderSpec, render_svg
+    from polywang.simulate import emit_placements
+    from polywang.solver import Torus, check_tiling
 
     start = time.perf_counter()
     pieces = compile_pieces(tileset)
@@ -75,9 +82,6 @@ def run_rung(n: int, t: int, p: int) -> dict:
     verified = time.perf_counter()
     render_svg(RenderSpec(), pieces.pieces)
     rendered = time.perf_counter()
-    library_peak = _peak_mb()
-    with tempfile.TemporaryDirectory() as tmp:
-        cli_times = run_cli_stages(Path(tmp), tileset.to_json(), tiling.to_json())
     return {
         "n": n, "t": t, "torus": [p, p],
         "quotient_cells": region.area,
@@ -88,10 +92,22 @@ def run_rung(n: int, t: int, p: int) -> dict:
         "verify_s": round(verified - emitted, 3),
         "render_s": round(rendered - verified, 3),
         "peak_rss_after_emit_mb": round(emit_peak, 1),
-        "peak_rss_mb": round(library_peak, 1),
-        **cli_times,
-        "cli_peak_rss_mb": round(_peak_mb(), 1),
+        "peak_rss_mb": round(_peak_mb(), 1),
     }
+
+
+def run_cli_rung(n: int, t: int, p: int) -> dict:
+    """The command-line stages of one rung in this process, and its peak."""
+    tileset, tiling = rung_inputs(n, t, p)
+    with tempfile.TemporaryDirectory() as tmp:
+        times = run_cli_stages(Path(tmp), tileset.to_json(), tiling.to_json())
+    return {**times, "cli_peak_rss_mb": round(_peak_mb(), 1)}
+
+
+def in_fresh_process(fn, *args):
+    """fn(*args), run in a new Python process spawned from this one."""
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(fn, args)
 
 
 def run_cli_stages(d: Path, wang_set: dict, tiling: dict) -> dict:
@@ -128,11 +144,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="also run the 16-tile, 16x16 rung (49.2M cells, "
                          "about 0.5 GB)")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_ladder.json")
-    ap.add_argument("--rung", help=argparse.SUPPRESS)  # "n,t,p": one rung
     args = ap.parse_args(argv)
-    if args.rung:
-        print(json.dumps(run_rung(*map(int, args.rung.split(",")))))
-        return 0
 
     import numpy
     sha = _git("rev-parse", "HEAD")
@@ -145,15 +157,9 @@ def main(argv: list[str] | None = None) -> int:
         "rungs": [],
     }
     for rung in RUNGS + ((LARGE_RUNG,) if args.large else ()):
-        results = []
-        for _ in range(REPEATS):
-            proc = subprocess.run(
-                [sys.executable, __file__, "--rung", ",".join(map(str, rung))],
-                capture_output=True, text=True)
-            if proc.returncode != 0:
-                sys.stderr.write(proc.stderr)
-                return 1
-            results.append(json.loads(proc.stdout.splitlines()[-1]))
+        results = [{**in_fresh_process(run_rung, *rung),
+                    **in_fresh_process(run_cli_rung, *rung)}
+                   for _ in range(REPEATS)]
         result = {k: v for k, v in results[0].items() if k not in MEASURES}
         result["repeats"] = REPEATS
         for k in MEASURES:

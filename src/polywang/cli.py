@@ -2,6 +2,11 @@
 
 Exit codes: 0 success / exact cover, 1 unsatisfiable or cover failure,
 2 input error, 3 resource limit exceeded.
+
+A piece file is decoded one piece at a time: as each entry's object closes,
+its cells become an int64 array and their decoded lists are freed.  JSON is
+written as it is made, part by part, to the file or stdout, so no command
+holds a whole output document.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import compiler, render, simulate, solver, wang
 from .geometry import (COORD_BOUND, GeometryError, Polyomino, TorusLattice,
-                       bounding_box)
+                       bounding_box, coord_array)
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
@@ -32,29 +37,31 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, object_hook=None) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     # ValueError covers malformed JSON and undecodable bytes; RecursionError,
     # arrays or objects nested too deep to decode.
     except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
 
 
-def _write(path: str | None, text: str):
+def _write(path: str | None, parts):
+    """Write the strings ``parts`` in order to the file ``path``, or to
+    stdout for None or "-", as they are made."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         try:
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.writelines(parts)
         except OSError as exc:
             raise CliError(f"cannot write {path}: {exc}")
 
 
 def _dump_json(path: str | None, obj) -> None:
-    _write(path, _json_text(obj) + "\n")
+    _write(path, chain(_json_parts(obj), ["\n"]))
 
 
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
@@ -106,31 +113,46 @@ def _rows(obj, end: str):
     return _column(obj, end)
 
 
-def _json_text(obj, end: str = "\n") -> str:
-    """``json.dumps(obj, indent=1)`` for dicts with str keys, lists, str,
-    int, bool and None, where an int array of shape (k,) or (k, 2) stands
-    for its ``tolist()`` and a ``solver.Records`` (such as a
+def _json_parts(obj, end: str = "\n"):
+    """``json.dumps(obj, indent=1)`` in parts, for dicts with str keys,
+    lists, str, int, bool and None, where an int array of shape (k,) or
+    (k, 2) stands for its ``tolist()`` and a ``solver.Records`` (such as a
     ``solver.Placements``, ``{"piece": name, "at": [x, y]}``) for its
-    records in order.  ``end`` is a newline plus obj's own indent."""
+    records in order.  ``end`` is a newline plus obj's own indent.  A list
+    that _rows formats is one part; no part holds another."""
     if type(obj) in _SCALARS:
-        return _SCALARS[type(obj)](obj)
+        yield _SCALARS[type(obj)](obj)
+        return
     if not (isinstance(obj, (dict, list, solver.Records))
             or isinstance(obj, np.ndarray) and obj.dtype.kind == "i"):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     opening, closing = "{}" if isinstance(obj, dict) else "[]"
     if not len(obj):
-        return opening + closing
+        yield opening + closing
+        return
     indent = end + " "
     if isinstance(obj, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, indent)}"
-                 for k, v in obj.items()]
+        sep = opening
+        for k, v in obj.items():
+            yield f"{sep}{indent}{encode_basestring_ascii(k)}: "
+            yield from _json_parts(v, indent)
+            sep = ","
     elif rows := _rows(obj, indent):
         row, columns = rows  # one format string for the whole list
         values = columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns))
-        items = [f",{indent}".join([row] * len(obj)) % tuple(values)]
+        yield opening + indent + f",{indent}".join([row] * len(obj)) % tuple(values)
     else:
-        items = [_json_text(v, indent) for v in obj]
-    return opening + indent + f",{indent}".join(items) + end + closing
+        sep = opening
+        for v in obj:
+            yield sep + indent
+            yield from _json_parts(v, indent)
+            sep = ","
+    yield end + closing
+
+
+def _json_text(obj) -> str:
+    """The text that _dump_json writes for obj, but for its final newline."""
+    return "".join(_json_parts(obj))
 
 
 def cmd_compile(args) -> int:
@@ -145,13 +167,13 @@ def cmd_solve_wang(args) -> int:
     p, q = args.torus
     result = wang.solve_torus(tileset, p, q, args.mode)
     if args.mode == "count":
-        _write(args.output, f"{result}\n")
+        _write(args.output, [f"{result}\n"])
         return EXIT_OK
     if args.mode == "enumerate":
         _dump_json(args.output, [t.to_json() for t in result])
         return EXIT_OK if result else EXIT_UNSAT
     if result is None:
-        _write(args.output, "UNSAT\n")
+        _write(args.output, ["UNSAT\n"])
         return EXIT_UNSAT
     _dump_json(args.output, result.to_json())
     return EXIT_OK
@@ -188,18 +210,32 @@ def cmd_solve_poly(args) -> int:
         print(f"LIMIT after {exc.partial_count} solutions", file=sys.stderr)
         return EXIT_LIMIT
     if args.mode == "count":
-        _write(args.output, f"{result}\n")
+        _write(args.output, [f"{result}\n"])
         return EXIT_OK
     if not result:  # no tiling (first) or none of them (enumerate)
-        _write(args.output, "UNSAT\n")
+        _write(args.output, ["UNSAT\n"])
         return EXIT_UNSAT
     _dump_json(args.output, [_tiling_json(region, s) for s in result]
                if args.mode == "enumerate" else _tiling_json(region, result))
     return EXIT_OK
 
 
+def _cell_array_hook(obj: dict) -> dict:
+    """A decoded JSON object, its "cells" replaced by their ``coord_array``
+    if that accepts them, so that a piece file's lists of cells are freed
+    as soon as each entry is decoded.  Cells it refuses stay, for
+    ``Polyomino.from_json`` to report in file order."""
+    if (xy := coord_array(obj.get("cells"))) is not None:
+        obj["cells"] = xy
+    return obj
+
+
 def _load_polyominoes(path: str):
-    obj = _load_json(path)
+    return _polyominoes(path, _load_json(path, _cell_array_hook))
+
+
+def _polyominoes(path: str, obj):
+    """The pieces of the decoded piece file ``obj`` read from ``path``."""
     entries = obj.get("pieces") if isinstance(obj, dict) else obj
     if not isinstance(entries, list):
         raise CliError(f"{path}: pieces must be a list of piece entries")
@@ -235,6 +271,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    # Decoded without _cell_array_hook: a tiling holds one object per placement.
     obj = _load_json(args.input)
     spec = render.RenderSpec(cell_size=args.cell_size, grid=args.grid)
     if args.pieces or isinstance(obj, dict) and "placements" in obj:
@@ -244,8 +281,8 @@ def cmd_render(args) -> int:
         svg = render.render_svg(spec, _placements(obj),
                                 _load_polyominoes(args.pieces))
     else:
-        svg = render.render_svg(spec, _load_polyominoes(args.input))
-    _write(args.output, svg)
+        svg = render.render_svg(spec, _polyominoes(args.input, obj))
+    _write(args.output, [svg])
     return EXIT_OK
 
 
@@ -257,7 +294,7 @@ def cmd_info(args) -> int:
         rows.append(f"{p.name:12s} {len(p):6d} cells  "
                     f"bbox {x1 - x0}x{y1 - y0} at ({x0},{y0})  "
                     "connected=True")  # checked by Polyomino.from_json
-    _write(args.output, "\n".join(rows) + "\n")
+    _write(args.output, ["\n".join(rows) + "\n"])
     return EXIT_OK
 
 

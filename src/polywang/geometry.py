@@ -252,9 +252,11 @@ class Polyomino:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polyomino":
-        """A piece from its ``{"name": str, "cells": [[x, y], ...]}`` entry."""
+        """A piece from its ``{"name": str, "cells": [[x, y], ...]}`` entry,
+        whose cells may already be the array ``coord_array`` made of them."""
         if not (isinstance(obj, dict) and isinstance(obj.get("name"), str)):
             raise GeometryError("a piece entry needs a string 'name'")
-        if (xy := coord_array(obj.get("cells"))) is None:
+        cells = obj.get("cells")
+        if (xy := cells if isinstance(cells, np.ndarray) else coord_array(cells)) is None:
             raise GeometryError(f"piece {obj['name']!r} needs 'cells': integer pairs")
         return cls(xy, obj["name"])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -584,6 +585,116 @@ def test_first_unknown_piece_in_file_order(tmp_path, capsys, cmd):
     capsys.readouterr()
     assert _run(*argv, "-o", tmp_path / "out") == 2
     assert capsys.readouterr().err == "input error: unknown piece 'zz'\n"
+
+
+# Piece entries that each command refuses, each with its one-line message:
+# "float" and "bool" cells stay decoded lists, while the disconnected and
+# the nameless entry's cells become arrays as the entry is decoded.
+_BAD_ENTRIES = {
+    "disconnected": ({"name": "d", "cells": [[0, 0], [2, 0]]},
+                     "input error: polyomino 'd' is not edge-connected"),
+    "float": ({"name": "f", "cells": [[0.5, 0]]},
+              "input error: piece 'f' needs 'cells': integer pairs"),
+    "bool": ({"name": "b", "cells": [[0, 0], [True, 0]]},
+             "input error: piece 'b' needs 'cells': integer pairs"),
+    "nameless": ({"cells": [[0, 0]]},
+                 "input error: a piece entry needs a string 'name'"),
+}
+# (piece file, exit code, message): the first bad entry in file order is
+# named, whatever comes before or after it.
+_ENTRY_ORDER = {
+    **{f"{name}-after-good": (_MONO + [entry], 2, message)
+       for name, (entry, message) in _BAD_ENTRIES.items()},
+    **{f"good-after-{name}": ([entry] + _MONO, 2, message)
+       for name, (entry, message) in _BAD_ENTRIES.items()},
+    **{f"{first}-then-{second}": (_MONO + [entry, _BAD_ENTRIES[second][0]], 2, message)
+       for first, (entry, message) in _BAD_ENTRIES.items()
+       for second in _BAD_ENTRIES if second != first},
+    # "cells" outside the piece entries is not read as a piece.
+    "cells-in-other-key": ({"source": {"cells": [[0, 0]]}, "pieces": _MONO}, 0, ""),
+    "bad-cells-in-other-key": ({"source": {"cells": 5}, "pieces": _MONO}, 0, ""),
+    "cells-at-top": ({"name": "m", "cells": [[0, 0]]}, 2,
+                     "error: PIECES: pieces must be a list of piece entries"),
+}
+
+
+# info decodes its piece file one piece at a time, and render (which may be
+# given a tiling) decodes its input whole; verify and solve-poly read piece
+# files as info does.
+@pytest.mark.parametrize("cmd", ["info", "render"])
+@pytest.mark.parametrize("case", list(_ENTRY_ORDER))
+def test_piece_file_errors_in_file_order(tmp_path, capsys, case, cmd):
+    content, code, message = _ENTRY_ORDER[case]
+    path = _write_inputs(tmp_path, pieces=content)
+    capsys.readouterr()
+    assert _run(cmd, path["pieces"], "-o", tmp_path / "out") == code
+    expected = message.replace("PIECES", str(path["pieces"]))
+    assert capsys.readouterr().err == (expected and expected + "\n")
+
+
+def _traced_peak(fn, *args) -> int:
+    """The peak of memory traced by tracemalloc while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_piece_file_is_read_one_piece_at_a_time(tmp_path):
+    # Sixteen equal 40x50 pieces at coordinates past the small-int cache, so
+    # each decoded cell is a list of two ints of its own.
+    cells = [[x, y] for y in range(1000, 1050) for x in range(1000, 1040)]
+    path = tmp_path / "pieces.json"
+    path.write_text(json.dumps({"pieces": [{"name": f"p{i}", "cells": cells}
+                                           for i in range(16)]}, indent=1))
+    text = _traced_peak(path.read_text)
+    one_piece = _traced_peak(json.loads, json.dumps(cells))
+    cli._load_polyominoes(str(path))
+    # Holding all sixteen pieces' lists at once would peak near 16 * one_piece.
+    assert _traced_peak(cli._load_polyominoes, str(path)) < text + 2 * one_piece
+
+
+def test_json_written_without_holding_the_document(tmp_path):
+    xy = np.arange(20000, dtype=np.int64).reshape(-1, 2) + 1000
+    out = str(tmp_path / "out.json")
+
+    def peak(k):
+        return _traced_peak(cli._dump_json, out, {"pieces": [
+            {"name": f"p{i}", "cells": xy} for i in range(k)]})
+
+    peak(1)
+    # Each array's text is written as it is made: the peak does not grow with k.
+    assert peak(16) < 1.1 * peak(2)
+
+
+def test_render_decodes_a_piece_file_once(tmp_path, monkeypatch):
+    loads, load = [], json.load
+    monkeypatch.setattr(json, "load", lambda *a, **k: loads.append(a) or load(*a, **k))
+    path = _write_inputs(tmp_path)
+    assert _run("render", path["pieces"], "-o", tmp_path / "pieces.svg") == 0
+    assert len(loads) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_device_full_while_writing_is_input_error(capsys):
+    # The write fails once the first buffer fills, past the first part.
+    capsys.readouterr()
+    assert _run("compile", THREE_TILE_PATH, "-o", "/dev/full") == 2
+    assert capsys.readouterr().err == \
+        "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+
+
+def test_out_of_memory_while_writing_is_resource_limit(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise MemoryError
+
+    # The first list is formatted after the file is opened.
+    monkeypatch.setattr(cli, "_rows", fail)
+    capsys.readouterr()
+    assert _run("compile", THREE_TILE_PATH, "-o", tmp_path / "pieces.json") == 3
+    assert capsys.readouterr().err == "error: out of memory: \n"
 
 
 # Each subcommand's JSON inputs: BAD is the file under test, the others are
