@@ -1,14 +1,15 @@
 """Translational exact-cover tiling engine and linear tiling checker.
 
-``solve`` searches regions of at most ``_REGION_CAP`` cells.  Count mode sweeps
-frontier layers (the transfer-matrix method, Stanley, EC1 4.7).  First and
-enumerate run Knuth's Algorithm X on an explicit stack, memoising each finished
-subtree's solution and node counts on the covered-cell bitmask, for at most
-``_MEMO_CAP`` masks, as in Knuth, TAOCP Vol. 4B, 7.2.2.1.  ``check_tiling``
-verifies a given placement list and is the workhorse for simulator output.  It
-readies each piece's row runs once, places them as flat intervals, sorts their
-starts and ends (int32 below 2**31 cells) and sweeps over them (after Bentley's
-note on Klee's measure problem); no array it builds is sized by the area.
+``solve`` searches regions of at most ``_REGION_CAP`` cells, in every mode on
+one tree that branches on the first uncovered cell.  Count mode sweeps its
+states by frontier layers (the transfer-matrix method, Stanley, EC1 4.7).
+First and enumerate walk the same states depth first on an explicit stack,
+skipping states already shown to hold no tiling, at most ``_MEMO_CAP`` of them.
+``check_tiling`` verifies a given placement list and is the workhorse for
+simulator output.  It readies each piece's row runs once, places them as flat
+intervals, sorts their starts and ends (int32 below 2**31 cells) and sweeps
+over them (after Bentley's note on Klee's measure problem); no array it builds
+is sized by the area.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from .geometry import (Cell, CellSet, Polyomino, TorusLattice, Vec, canonical,
 
 SolveMode = Literal["first", "count", "enumerate"]
 _BATCH_POINTS = 1 << 18  # placed points check_tiling materialises at a time
-# States solve stores, at most: memo masks in first and enumerate, live frontier
+# States solve stores, at most: dead states in first and enumerate, live frontier
 # states in count mode; about 160 B of heap each (tracemalloc), 10 MB in all.
 _MEMO_CAP = 1 << 16
-# Cells of the largest region build_universe takes: solve holds an area-bit mask
-# a placement, 0.14 B per cell squared for {h, m} (tracemalloc), 40 MB here.
+# Cells of the largest region build_universe takes: first mode for {h, m} on
+# 128 x 128 peaks at 13 MB of heap (tracemalloc), most of it the universe.
 _REGION_CAP = 1 << 14
 
 
@@ -396,17 +397,13 @@ def contained_placements(container: CellSet,
 
 @dataclass
 class PlacementUniverse:
-    """Materialized placements of the pieces inside a region.
-
-    Internal placements index region cells linearly; ``candidates[cell]``
-    lists the placements covering that cell.
-    """
+    """Materialized placements of the pieces inside a region: ``_cover[pid]``
+    lists the linear region cells that placement pid covers."""
 
     region: Region
     pieces: tuple[Polyomino, ...]
     placements: list[Placement] = field(default_factory=list)
     _cover: list[tuple[int, ...]] = field(default_factory=list)
-    _candidates: list[list[int]] = field(default_factory=list)
 
 
 def build_universe(region: Region, pieces: Sequence[Polyomino]) -> PlacementUniverse:
@@ -427,10 +424,6 @@ def build_universe(region: Region, pieces: Sequence[Polyomino]) -> PlacementUniv
         uni.placements += [Placement(piece.name, at) for at
                            in zip(ox[keep].tolist(), oy[keep].tolist())]
         uni._cover += map(tuple, idx[keep].tolist())
-    uni._candidates = [[] for _ in range(region.area)]
-    for pid, cover in enumerate(uni._cover):
-        for idx in cover:
-            uni._candidates[idx].append(pid)
     return uni
 
 
@@ -453,18 +446,27 @@ def _area_reachable(total: int, areas: Sequence[int]) -> bool:
     return (bits >> total) & 1 == 1
 
 
-def _count(cover: list[tuple[int, ...]], n_cells: int, max_nodes: int | None) -> int:
+def _starts(cover: list[tuple[int, ...]], n_cells: int):
+    """Per cell lo, the placements whose lowest cell is lo, in id order: their
+    cells as a mask shifted down by lo, and a parallel list of their ids."""
+    masks: list[list[int]] = [[] for _ in range(n_cells)]
+    ids: list[list[int]] = [[] for _ in range(n_cells)]
+    for pid, cells in enumerate(cover):
+        lo = min(cells)
+        masks[lo].append(sum(1 << (c - lo) for c in cells))
+        ids[lo].append(pid)
+    return masks, ids
+
+
+def _count(starts: list[list[int]], n_cells: int, max_nodes: int | None) -> int:
     """The tilings, counted by frontier layers.  ``layers[i]`` maps each
     covered-cell mask whose first uncovered cell is i, shifted down by i, to
-    the search paths that reach it; ``starts[lo]`` holds the placements whose
-    lowest cell is lo, shifted down by lo.  Each state of layer i moves its
-    paths through each start of ``starts[i]`` it misses, to the layer of its
-    new first uncovered cell; only layers ahead are held, ``_MEMO_CAP`` states
-    at most.  ``nodes`` adds up the paths moved, the nodes of the search on the
-    first uncovered cell; past ``max_nodes``, the tilings completed so far."""
-    starts: list[list[int]] = [[] for _ in range(n_cells)]
-    for lo, cells in zip(map(min, cover), cover):
-        starts[lo].append(sum(1 << (c - lo) for c in cells))
+    the search paths that reach it; ``starts[i]`` holds the masks of
+    ``_starts``.  Each state of layer i moves its paths through each start
+    of ``starts[i]`` it misses, to the layer of its new first uncovered cell;
+    only layers ahead are held, ``_MEMO_CAP`` states at most.  ``nodes`` adds
+    up the paths moved, the nodes of the search on the first uncovered cell;
+    past ``max_nodes``, the tilings completed so far."""
     layers: list[dict[int, int] | None] = [{0: 1}, *({} for _ in range(n_cells))]
     budget = inf if max_nodes is None else max_nodes
     nodes, live = 0, 1
@@ -492,114 +494,79 @@ def _count(cover: list[tuple[int, ...]], n_cells: int, max_nodes: int | None) ->
     return layers[n_cells].get(0, 0)
 
 
+def _walk(starts: list[list[int]], ids: list[list[int]], n_cells: int,
+          stop: float, max_nodes: int | None) -> list[tuple[int, ...]]:
+    """The first ``stop`` tilings, as placement ids, of a depth-first walk of
+    ``_count``'s states on an explicit stack: state (i, mask) takes the starts
+    of cell i in id order.  A state with no tiling below it is stored with
+    its subtree's nodes, ``_MEMO_CAP`` states at most, and skipped when met
+    again; its nodes count as if searched, so ``nodes`` counts those of the
+    unmemoised tree, as ``_count``'s do.  Past ``max_nodes``, the tilings
+    found so far."""
+    budget = inf if max_nodes is None else max_nodes
+    dead: dict[tuple[int, int], int] = {}  # (i, mask) -> nodes below it
+    solutions: list[tuple[int, ...]] = []
+    chosen: list[int] = []  # the placement that opened each frame
+    nodes = 0
+    # Frame: cell, mask, next start, and nodes and solutions on entry.
+    stack = [[0, 0, 0, 0, 0]]
+    while stack and len(solutions) < stop:
+        frame = stack[-1]
+        i, state, k, nodes_in, found_in = frame
+        if k == len(starts[i]):
+            stack.pop()
+            if len(solutions) == found_in and len(dead) < _MEMO_CAP:
+                dead[i, state] = nodes - nodes_in
+            if chosen:
+                chosen.pop()
+            continue
+        frame[2] = k + 1
+        start = starts[i][k]
+        if state & start:
+            continue
+        mask = state | start
+        j = (~mask & (mask + 1)).bit_length() - 1
+        below = dead.get((i + j, mask >> j))
+        nodes += 1 + (below or 0)  # a dead state's subtree, as if searched
+        if nodes > budget:
+            raise SearchLimitError(len(solutions))
+        if i + j == n_cells:
+            solutions.append((*chosen, ids[i][k]))
+        elif below is None:
+            chosen.append(ids[i][k])
+            stack.append([i + j, mask >> j, 0, nodes, len(solutions)])
+    return solutions
+
+
 def solve(universe: PlacementUniverse, mode: SolveMode = "first",
           limit: int | None = None, max_nodes: int | None = None):
     """Exhaustive exact-cover search over the placement universe.
 
-    Count mode returns ``_count``'s tally, at most ``limit``.  First and
-    enumerate run Knuth's Algorithm X on an explicit stack, so Python's
-    recursion limit does not cap the depth.  Candidates branch in canonical
-    order on the first uncovered cell with at most one live candidate, else
-    the one with fewest (ties by lowest linear index): ``size[cell]`` counts
-    the live placements on a cell and ``dead[pid]`` the chosen placements
-    that share a cell with pid, kept by select and deselect.  In every mode
-    ``max_nodes`` bounds the nodes below the root of the search tree and
-    raises SearchLimitError past it; ``limit`` keeps the first solutions.
-
-    A placement is dead exactly when one of its cells is covered, so a
-    search state, its pick and its subtree depend only on the covered-cell
-    mask (a Python int, bit c for region cell c).  Each finished subtree
-    stores (solutions, nodes) under its mask, for at most ``_MEMO_CAP``
-    masks.  A stored subtree without solutions is skipped, so the order of
-    solutions does not change.  Its nodes count towards ``max_nodes`` as if
-    searched; one that would cross the budget is searched, so the partial
-    count stays exact.
+    Every mode searches one tree: it branches on the first uncovered cell,
+    on the placements whose lowest cell it is, in id order.  A state is that
+    cell and the covered-cell mask shifted down by it; ``_starts`` lists the
+    placements per cell once.  Count mode returns ``_count``'s sweep of the
+    states by frontier layers, at most ``limit``.  First and enumerate
+    return ``_walk``'s depth-first tilings in the tree's order, the first
+    ``limit`` of them; each tiling is sorted by piece, then y, then x.  In
+    every mode ``max_nodes`` bounds the nodes below the root of that tree,
+    unmemoised, and raises SearchLimitError past it.
     """
     if limit is not None and limit < 0:
         raise SolverInputError("limit must be nonnegative")
     if max_nodes is not None and max_nodes < 0:
         raise SolverInputError("max_nodes must be nonnegative")
     n_cells = universe.region.area
-    cover = universe._cover
-    candidates = universe._candidates
     reachable = _area_reachable(n_cells, [len(p) for p in universe.pieces])
     if mode == "count":
-        total = _count(cover, n_cells, max_nodes) if reachable and limit != 0 else 0
+        total = (_count(_starts(universe._cover, n_cells)[0], n_cells, max_nodes)
+                 if reachable and limit != 0 else 0)
         return total if limit is None else min(total, limit)
     if not reachable:
         return None if mode == "first" else []
 
-    bits = [sum(1 << c for c in cells) for cells in cover]
-    full = (1 << n_cells) - 1
-    size = [len(c) for c in candidates]
-    dead = [0] * len(cover)
-    covered = len(cover) + 1  # a covered cell's size (its live count is 0)
-    # The placements that share a cell with each placement, itself included.
-    clash = [tuple(set().union(*(candidates[c] for c in cells))) for cells in cover]
-
-    def pick() -> list[int]:
-        """Live candidates of the first uncovered cell with at most one
-        of them, else of the one with fewest (lowest index first)."""
-        low = min(size)
-        cell = size.index(low)
-        if low == 0 and 1 in size[:cell]:
-            cell = size.index(1)
-        return [pid for pid in candidates[cell] if not dead[pid]]
-
-    def select(pid: int):
-        for row in clash[pid]:
-            dead[row] += 1
-            if dead[row] == 1:
-                for cell in cover[row]:
-                    size[cell] -= 1
-        for cell in cover[pid]:
-            size[cell] = covered
-
-    def deselect(pid: int):
-        for cell in cover[pid]:
-            size[cell] = 0
-        for row in clash[pid]:
-            dead[row] -= 1
-            if not dead[row]:
-                for cell in cover[row]:
-                    size[cell] += 1
-
     stop = 1 if mode == "first" else inf if limit is None else limit
-    budget = inf if max_nodes is None else max_nodes
-    memo: dict[int, tuple[int, int]] = {}  # mask -> (solutions, nodes) below it
-    solutions: list[tuple[int, ...]] = []
-    nodes = 0
-    chosen: list[int] = []  # the placement that opened each frame
-    # Frame: candidates, next branch, mask, and nodes and solutions on entry.
-    # The root pick is not a search node; every branch below it is.
-    stack = [[pick(), 0, 0, 0, 0]]
-    while stack and len(solutions) < stop:
-        frame = stack[-1]
-        cands, i, mask, nodes_in, found_in = frame
-        if i == len(cands):
-            stack.pop()
-            if len(memo) < _MEMO_CAP:
-                memo[mask] = (len(solutions) - found_in, nodes - nodes_in)
-            if chosen:
-                deselect(chosen.pop())
-            continue
-        frame[1] = i + 1
-        nodes += 1
-        if nodes > budget:
-            raise SearchLimitError(len(solutions))
-        pid = cands[i]
-        below = mask | bits[pid]
-        if below == full:
-            solutions.append((*chosen, pid))
-            continue
-        hit = memo.get(below)
-        if hit and not hit[0] and nodes + hit[1] <= budget:
-            nodes += hit[1]
-            continue
-        select(pid)
-        chosen.append(pid)
-        stack.append([pick(), 0, below, nodes, len(solutions)])
-
+    solutions = _walk(*_starts(universe._cover, n_cells), n_cells, stop, max_nodes)
     tilings = [
         sorted((universe.placements[pid] for pid in sol),
                key=lambda pl: (pl.piece, pl.at[1], pl.at[0]))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter
 from functools import cache
 from itertools import count, islice
@@ -137,11 +138,10 @@ def test_deep_search_needs_no_recursion():
      {40: 0, 333: 0, 13183: 2550}),
 ])
 def test_search_order_pinned(region, pieces, count, nodes, partial):
-    # The order of solutions is that of the fewest-candidates search that
-    # branches in canonical order: the first uncovered cell with at most one
-    # live candidate, else the smallest.  Count mode's node budgets are those
-    # of the search that branches on the first uncovered cell; its partial
-    # counts are the tilings its sweep of frontier layers has completed.
+    # Every mode searches the tree that branches on the first uncovered cell,
+    # on its placements in id order: first and enumerate give its tilings in
+    # that order, and count mode's node budgets are its nodes.  Count mode's
+    # partial counts are the tilings its sweep of frontier layers has completed.
     universe = build_universe(region, pieces)
     full = solve(universe, "enumerate")
     assert solve(universe, "count") == len(full) == count
@@ -155,10 +155,10 @@ def test_search_order_pinned(region, pieces, count, nodes, partial):
 
 
 def _reference_solve(universe, mode="first", limit=None, max_nodes=None):
-    """Algorithm X without the covered-cell memo, as solve ran before it
-    had one (a generator cut by islice): the oracle of the memoised search.
-    Count mode branches on the first uncovered cell: its tree's nodes are
-    those that solve's sweep of frontier layers counts.
+    """The search that branches on the first uncovered cell, on the
+    placements that cover it in id order, with no memo (a generator cut by
+    islice): the oracle of solve's tree, its order and its node budgets in
+    every mode.  The root is not a search node; every placement tried is.
     """
     if limit is not None and limit < 0:
         raise SolverInputError("limit must be nonnegative")
@@ -166,79 +166,40 @@ def _reference_solve(universe, mode="first", limit=None, max_nodes=None):
         raise SolverInputError("max_nodes must be nonnegative")
     n_cells = universe.region.area
     cover = universe._cover
-    candidates = universe._candidates
     areas = [len(p) for p in universe.pieces]
     if not solver._area_reachable(n_cells, areas):
         if mode == "count":
             return 0
         return None if mode == "first" else []
 
-    size = [len(c) for c in candidates]
-    dead = [0] * len(cover)
-    covered = len(cover) + 1  # a covered cell's size (its live count is 0)
-    # The placements that share a cell with each placement, itself included.
-    clash = [tuple(set().union(*(candidates[c] for c in cells))) for cells in cover]
+    candidates = [[] for _ in range(n_cells)]  # the placements on each cell
+    for pid, cells in enumerate(cover):
+        for cell in cells:
+            candidates[cell].append(pid)
+    covered = [False] * n_cells
+    nodes = found = 0
 
-    def pick() -> list[int]:
-        """Live candidates of the first uncovered cell in count mode; else of
-        the first uncovered cell with at most one of them, else of the one
-        with fewest (lowest index first)."""
-        if mode == "count":
-            cell = next(c for c, live in enumerate(size) if live != covered)
-            return [pid for pid in candidates[cell] if not dead[pid]]
-        low = min(size)
-        cell = size.index(low)
-        if low == 0 and 1 in size[:cell]:
-            cell = size.index(1)
-        return [pid for pid in candidates[cell] if not dead[pid]]
-
-    def select(pid: int):
-        for row in clash[pid]:
-            dead[row] += 1
-            if dead[row] == 1:
-                for cell in cover[row]:
-                    size[cell] -= 1
-        for cell in cover[pid]:
-            size[cell] = covered
-
-    def deselect(pid: int):
-        for cell in cover[pid]:
-            size[cell] = 0
-        for row in clash[pid]:
-            dead[row] -= 1
-            if not dead[row]:
-                for cell in cover[row]:
-                    size[cell] += 1
-
-    def search():
-        nodes = found = 0
-        chosen: list[int] = []  # the placement that opened each frame
-        # The root pick is not a search node; every branch below it is.
-        stack = [[pick(), 0, n_cells]]
-        while stack:
-            frame = stack[-1]
-            cands, i, remaining = frame
-            if i == len(cands):
-                stack.pop()
-                if chosen:
-                    deselect(chosen.pop())
+    def search(cell):
+        """Tilings of the uncovered cells, of which ``cell`` is the first."""
+        nonlocal nodes, found
+        for pid in candidates[cell]:
+            if any(covered[c] for c in cover[pid]):
                 continue
-            frame[1] = i + 1
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 raise SearchLimitError(found)
-            pid = cands[i]
-            select(pid)
-            left = remaining - len(cover[pid])
-            if left:
-                chosen.append(pid)
-                stack.append([pick(), 0, left])
-            else:
+            for c in cover[pid]:
+                covered[c] = True
+            nxt = next((c for c in range(cell, n_cells) if not covered[c]), None)
+            if nxt is None:
                 found += 1
-                yield (*chosen, pid)
-                deselect(pid)
+                yield (pid,)
+            else:
+                yield from ((pid, *rest) for rest in search(nxt))
+            for c in cover[pid]:
+                covered[c] = False
 
-    solutions = islice(search(), 1 if mode == "first" else limit)
+    solutions = islice(search(0), 1 if mode == "first" else limit)
     if mode == "count":
         return sum(1 for _ in solutions)
     tilings = [
@@ -267,6 +228,12 @@ def _outcome(search, universe, mode, **kw):
 
 
 _SEARCH_PIECES = (L_TROMINO, J_TROMINO, H_DOM, V_DOM, MONO)
+_SEARCH_PIECE_LISTS = st.lists(st.sampled_from(_SEARCH_PIECES), min_size=1, unique=True)
+_SMALL_REGIONS = st.one_of(st.builds(Rectangle, st.integers(1, 3), st.integers(1, 2)),
+                           _torus_lattices().filter(lambda region: region.area <= 6))
+# Universes with pinned first and enumerate budgets.
+_TORUS_LJHV = (Torus(TorusLattice((4, 0), (1, 3))), (L_TROMINO, J_TROMINO, H_DOM, V_DOM))
+_STRIP_HV = (Rectangle(2, 10), (H_DOM, V_DOM))
 
 
 # Every node budget up to one past the whole search, and limits around the
@@ -274,9 +241,7 @@ _SEARCH_PIECES = (L_TROMINO, J_TROMINO, H_DOM, V_DOM, MONO)
 # enumerate match the reference outright.  Count mode completes nothing before
 # its last layer: it gives the count when the budget pays for the whole tree,
 # else a partial count that never falls as the budget grows.
-@given(st.one_of(st.builds(Rectangle, st.integers(1, 3), st.integers(1, 2)),
-                 _torus_lattices().filter(lambda region: region.area <= 6)),
-       st.lists(st.sampled_from(_SEARCH_PIECES), min_size=1, unique=True))
+@given(_SMALL_REGIONS, _SEARCH_PIECE_LISTS)
 @settings(max_examples=40, deadline=None)
 def test_solve_matches_reference_search(region, pieces):
     universe = build_universe(region, pieces)
@@ -300,16 +265,37 @@ def test_solve_matches_reference_search(region, pieces):
                 partial[limit] = got[1]
 
 
+def _least_budget(universe, mode):
+    """The least max_nodes at which solve completes: completing is monotone
+    in the budget, so double it, then bisect."""
+    def done(max_nodes):
+        return not isinstance(_outcome(solve, universe, mode, max_nodes=max_nodes), tuple)
+
+    high = 1
+    while not done(high):
+        high *= 2
+    return bisect_left(range(high + 1), True, key=done)
+
+
+# One tree in every mode: enumerate, with no limit, completes at the budget
+# at which count mode does.
+@given(_SMALL_REGIONS, _SEARCH_PIECE_LISTS)
+@example(*_TORUS_LJHV)
+@example(*_STRIP_HV)
+@settings(max_examples=40, deadline=None)
+def test_enumerate_and_count_share_a_budget(region, pieces):
+    universe = build_universe(region, pieces)
+    assert _least_budget(universe, "enumerate") == _least_budget(universe, "count")
+
+
 @pytest.mark.parametrize("cap", [0, 4])
 def test_memo_cap_keeps_counts(cap):
-    # First and enumerate are the memo's only users.  A smaller memo skips
-    # fewer subtrees, but finds the same tilings within the same budgets:
-    # the nodes each needs to complete, and around them.
-    torus = build_universe(Torus(TorusLattice((4, 0), (1, 3))),
-                           (L_TROMINO, J_TROMINO, H_DOM, V_DOM))
-    strip = build_universe(Rectangle(2, 10), (H_DOM, V_DOM))
+    # First and enumerate store dead states, up to the cap.  A smaller store
+    # skips fewer of them, but finds the same tilings within the same
+    # budgets: the nodes each needs to complete, and around them.
+    torus, strip = (build_universe(*case) for case in (_TORUS_LJHV, _STRIP_HV))
     cases = [(universe, mode, max_nodes)
-             for universe, budgets in ((torus, {"first": 12, "enumerate": 862}),
+             for universe, budgets in ((torus, {"first": 10, "enumerate": 1340}),
                                        (strip, {"first": 10, "enumerate": 319}))
              for mode, nodes in budgets.items()
              for max_nodes in (None, nodes, nodes - 1, nodes // 2, 3)]
@@ -395,10 +381,30 @@ def test_trominoes_and_dominoes_6x6_match_dp():
 
 def test_trominoes_and_dominoes_8x8_match_dp():
     # Count mode's sweep meets 6,640 frontier states here, at most 320 of them
-    # at once; the fewest-candidates pick's search would overflow the
-    # 2**16-mask memo.
+    # at once.
     pieces = (L_TROMINO, J_TROMINO, H_DOM, V_DOM)
     assert _count(Rectangle(8, 8), pieces) == _dp_count(8, 8, pieces) == 6337816232
+
+
+_T_TETROMINOES = tuple(Polyomino(frozenset(cells), name) for name, cells in (
+    ("T_up", {(0, 0), (1, 0), (2, 0), (1, 1)}),
+    ("T_down", {(1, 0), (0, 1), (1, 1), (2, 1)}),
+    ("T_right", {(0, 0), (0, 1), (0, 2), (1, 1)}),
+    ("T_left", {(1, 0), (1, 1), (1, 2), (0, 1)}),
+))
+
+
+# Walkup (1965): the T-tetrominoes tile an m x n rectangle iff 4 divides both
+# m and n.  12x10 and 10x6 pass the area test, so first mode must prove that
+# no tiling exists by search.
+@pytest.mark.parametrize("width, height", [(12, 10), (10, 6), (4, 4), (8, 8), (12, 12)])
+def test_t_tetrominoes_tile_rectangles_as_walkup_proved(width, height):
+    region = Rectangle(width, height)
+    tiling = solve(build_universe(region, _T_TETROMINOES), "first")
+    if width % 4 or height % 4:
+        assert tiling is None
+    else:
+        assert check_tiling(region, _T_TETROMINOES, tiling).exact
 
 
 _LJHV = (L_TROMINO, J_TROMINO, H_DOM, V_DOM)
@@ -416,9 +422,12 @@ def test_counts_past_the_memo_match_dp(width, height, pieces, expected):
         == expected
 
 
+# A sweep that kept the layers behind it peaks at 3.29 MB and 1.38 MB here:
+# each bound is about 2.8 to 3.3 times below that, and 4 to 6 times above
+# the 0.18 MB and 0.12 MB of the frontier sweep (tracemalloc).
 @pytest.mark.parametrize("width, height, pieces, expected, heap_mb", [
-    (12, 12, _LJHV, 629581954074785680425009, 2),
-    (16, 8, (H_DOM, V_DOM), 540061286536921, 4),
+    (10, 10, _LJHV, 10941583606563344, 1),
+    (12, 6, (H_DOM, V_DOM), 106912793, 0.5),
 ])
 def test_count_heap_is_held_to_the_frontier(width, height, pieces, expected, heap_mb):
     universe = build_universe(Rectangle(width, height), pieces)
@@ -428,7 +437,7 @@ def test_count_heap_is_held_to_the_frontier(width, height, pieces, expected, hea
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == expected
+    assert got == _dp_count(width, height, pieces) == expected
     assert peak < heap_mb * 2 ** 20
 
 
