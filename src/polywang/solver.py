@@ -1,7 +1,9 @@
 """Translational exact-cover tiling engine and linear tiling checker.
 
 ``solve`` searches regions of at most ``_REGION_CAP`` cells, in every mode on
-one tree that branches on the first uncovered cell.  Count mode sweeps its
+one tree that branches on the first uncovered cell.  A rectangle's cells are
+taken along its shorter side, column by column when it is wider than tall,
+so its frontier is min(width, height) cells wide.  Count mode sweeps its
 states by frontier layers (the transfer-matrix method, Stanley, EC1 4.7).
 First and enumerate walk the same states depth first on an explicit stack,
 skipping states already shown to hold no tiling, at most ``_MEMO_CAP`` of them.
@@ -398,7 +400,8 @@ def contained_placements(container: CellSet,
 @dataclass
 class PlacementUniverse:
     """Materialized placements of the pieces inside a region: ``_cover[pid]``
-    lists the linear region cells that placement pid covers."""
+    lists the cells that placement pid covers, in sweep order: y * width + x,
+    or x * height + y in a rectangle wider than tall."""
 
     region: Region
     pieces: tuple[Polyomino, ...]
@@ -408,17 +411,24 @@ class PlacementUniverse:
 
 def build_universe(region: Region, pieces: Sequence[Polyomino]) -> PlacementUniverse:
     """Anchor each piece's first canonical cell at every region cell in
-    turn; keep the placements whose cells are inside and pairwise distinct."""
+    row-major turn; keep the placements whose cells are inside and pairwise
+    distinct.  Cells are numbered in sweep order, along the shorter side: a
+    rectangle wider than tall column by column, so that the search's
+    frontier is its height wide; any other region row by row."""
     piece_map(pieces)  # uniqueness check
     if region.area > _REGION_CAP:
         raise RegionLimitError(f"a region of {region.area} cells is over the "
                                f"search limit of {_REGION_CAP} cells")
     uni = PlacementUniverse(region, tuple(pieces))
     ry, rx = np.indices((region.height, region.width)).reshape(2, -1)
+    wide = isinstance(region, Rectangle) and region.width > region.height
     for piece in uni.pieces:
         cells = piece.xy
         ox, oy = rx - cells[0, 0], ry - cells[0, 1]
-        idx = region.index(ox[:, None] + cells[:, 0], oy[:, None] + cells[:, 1])
+        xs, ys = ox[:, None] + cells[:, 0], oy[:, None] + cells[:, 1]
+        idx = region.index(xs, ys)
+        if wide:  # column by column: the frontier is height cells wide
+            idx = np.where(idx < 0, -1, xs * region.height + ys)
         ranked = np.sort(idx, axis=1)
         keep = (ranked[:, 0] >= 0) & (np.diff(ranked, axis=1) != 0).all(axis=1)
         uni.placements += [Placement(piece.name, at) for at
@@ -542,8 +552,9 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
           limit: int | None = None, max_nodes: int | None = None):
     """Exhaustive exact-cover search over the placement universe.
 
-    Every mode searches one tree: it branches on the first uncovered cell,
-    on the placements whose lowest cell it is, in id order.  A state is that
+    Every mode searches one tree: it branches on the first uncovered cell in
+    sweep order (``build_universe``: along a rectangle's shorter side), on
+    the placements whose lowest cell it is, in id order.  A state is that
     cell and the covered-cell mask shifted down by it; ``_starts`` lists the
     placements per cell once.  Count mode returns ``_count``'s sweep of the
     states by frontier layers, at most ``limit``.  First and enumerate

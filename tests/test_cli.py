@@ -391,11 +391,12 @@ def test_region_too_large_for_wide_counts_is_resource_limit(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: out of memory: ")
 
 
-@pytest.mark.parametrize("width, height", [(128, 128), (20, 8)])
+@pytest.mark.parametrize("width, height", [(128, 128), (20, 20)])
 def test_count_over_state_limit_is_resource_limit(tmp_path, capsys, width, height):
     # A region within the search limit whose count needs more frontier
-    # states at once than the solver holds (20x8 reaches 184,546) is refused
-    # as a resource limit, in well under a second.
+    # states at once than the solver holds is refused as a resource limit,
+    # in well under a second.  Both are wide both ways: a rectangle is swept
+    # along its shorter side, so 20x8 counts with a frontier 8 cells wide.
     dominoes = tmp_path / "dominoes.json"
     dominoes.write_text(json.dumps([{"name": "h", "cells": [[0, 0], [1, 0]]},
                                     {"name": "v", "cells": [[0, 0], [0, 1]]}]))

@@ -410,8 +410,9 @@ def test_t_tetrominoes_tile_rectangles_as_walkup_proved(width, height):
 _LJHV = (L_TROMINO, J_TROMINO, H_DOM, V_DOM)
 
 
-# Counts a covered-cell memo of 2**16 masks could not reach: 11x10 meets
-# 93,888 frontier states in all, but the sweep holds at most 2,560 at once.
+# Counts a covered-cell memo of 2**16 masks could not reach: 11x10, swept
+# column by column, meets 67,935 frontier states in all, but the sweep holds
+# at most 1,536 at once.
 @pytest.mark.parametrize("width, height, pieces, expected", [
     (11, 10, _LJHV, 600570426477947343),
     (12, 12, _LJHV, 629581954074785680425009),
@@ -422,12 +423,22 @@ def test_counts_past_the_memo_match_dp(width, height, pieces, expected):
         == expected
 
 
-# A sweep that kept the layers behind it peaks at 3.29 MB and 1.38 MB here:
-# each bound is about 2.8 to 3.3 times below that, and 4 to 6 times above
-# the 0.18 MB and 0.12 MB of the frontier sweep (tracemalloc).
+# A rectangle wider than tall is swept column by column: 20x8 counts with a
+# frontier 8 cells wide, where row by row it needed over 2**16 live states.
+# The dominoes are their own transpose, so the row-major oracle counts 8x20.
+def test_wide_rectangle_counts_along_its_shorter_side():
+    assert _count(Rectangle(20, 8), (H_DOM, V_DOM)) == _dp_count(8, 20, (H_DOM, V_DOM)) \
+        == 3547073578562247994
+
+
+# A sweep that kept the layers behind it peaks at 3.29 MB and 0.64 MB here:
+# each bound is about 3.2 times below that, and 4.6 to 5.6 times above the
+# 0.18 MB and 0.043 MB of the frontier sweep (tracemalloc).  Both regions are
+# wide both ways: on a strip the sweep runs along the long side, and even
+# the layers behind a frontier 6 cells wide fit in 0.03 MB.
 @pytest.mark.parametrize("width, height, pieces, expected, heap_mb", [
     (10, 10, _LJHV, 10941583606563344, 1),
-    (12, 6, (H_DOM, V_DOM), 106912793, 0.5),
+    (10, 10, (H_DOM, V_DOM), 258584046368, 0.2),
 ])
 def test_count_heap_is_held_to_the_frontier(width, height, pieces, expected, heap_mb):
     universe = build_universe(Rectangle(width, height), pieces)
@@ -501,6 +512,54 @@ def test_solve_matches_dp_oracle(width, height, shapes):
     tilings = solve(universe, "enumerate")
     assert len(tilings) == len({tuple(t) for t in tilings}) == count
     assert all(check_tiling(region, pieces, t).exact for t in tilings)
+
+
+def _orientations(cells):
+    """The distinct rotations and reflections of a cell set, up to translation."""
+    out = []
+    for _ in range(2):
+        for _ in range(4):
+            cells = frozenset((-y, x) for x, y in cells)
+            out.append(_translation_class(cells))
+        cells = frozenset((-x, y) for x, y in cells)
+    return list(dict.fromkeys(out))
+
+
+def _transposed(outcome):
+    """A solve outcome with each tiling's placements transposed, (x, y) ->
+    (y, x), and sorted again by piece, then y, then x."""
+    if not isinstance(outcome, list):
+        return outcome  # a count, None, or a partial count
+    if outcome and isinstance(outcome[0], list):
+        return list(map(_transposed, outcome))
+    return sorted((Placement(pl.piece, pl.at[::-1]) for pl in outcome),
+                  key=lambda pl: (pl.piece, pl.at[1], pl.at[0]))
+
+
+# A rectangle wider than tall searches as its transpose, which is taller
+# than wide, with each piece transposed: the one is swept column by column
+# as the other is row by row, and each cell's starts are one per piece, in
+# piece order, so the two trees are the same.  Counts, partial counts,
+# first tilings and the enumerate order match at every node budget up to
+# the whole search, or at 100 of them spread over it and those around it.
+# The P-pentomino (8 orientations) has no tiling of 13x5.
+@given(st.integers(1, 3).flatmap(lambda h: st.tuples(st.integers(h + 1, 4), st.just(h))),
+       st.lists(_shapes(), min_size=1, max_size=3, unique_by=_translation_class))
+@example((13, 5), _orientations({(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)}))
+@settings(max_examples=40, deadline=None)
+def test_wide_rectangle_searches_as_its_transpose(size, shapes):
+    width, height = size
+    pieces = [Polyomino(cells, f"p{k}") for k, cells in enumerate(shapes)]
+    wide = build_universe(Rectangle(width, height), pieces)
+    tall = build_universe(Rectangle(height, width), [
+        Polyomino({(y, x) for x, y in piece.cells}, piece.name) for piece in pieces])
+    nodes = _least_budget(wide, "count")
+    budgets = {*range(0, nodes + 2, max(1, nodes // 100)), max(nodes - 1, 0), nodes,
+               nodes + 1, None}
+    for max_nodes in budgets:
+        for mode in ("count", "first", "enumerate"):
+            assert _transposed(_outcome(solve, wide, mode, max_nodes=max_nodes)) == \
+                _outcome(solve, tall, mode, max_nodes=max_nodes)
 
 
 def test_check_tiling_reports():
@@ -772,11 +831,18 @@ def test_large_failure_report_pinned(tmp_path, three_tile_set, three_tile_torus,
 
 
 def test_build_universe_pinned_rows():
+    # A rectangle no wider than tall numbers its cells row by row, y * 2 + x
+    # here; a wider one column by column, x * 2 + y here.  Placements keep
+    # their row-major anchor order either way.
+    tall = build_universe(Rectangle(2, 3), (L_TROMINO, H_DOM))
+    assert [(pl.piece, pl.at) for pl in tall.placements] == [
+        ("L", (0, 0)), ("L", (0, 1)), ("h", (0, 0)), ("h", (0, 1)), ("h", (0, 2))]
+    assert tall._cover == [(0, 1, 2), (2, 3, 4), (0, 1), (2, 3), (4, 5)]
     rect = build_universe(Rectangle(3, 2), (L_TROMINO, H_DOM))
     assert [(pl.piece, pl.at) for pl in rect.placements] == [
         ("L", (0, 0)), ("L", (1, 0)),
         ("h", (0, 0)), ("h", (1, 0)), ("h", (0, 1)), ("h", (1, 1))]
-    assert rect._cover == [(0, 1, 3), (1, 2, 4), (0, 1), (1, 2), (3, 4), (4, 5)]
+    assert rect._cover == [(0, 2, 1), (2, 4, 3), (0, 2), (2, 4), (1, 3), (3, 5)]
     # A skewed basis of a 5-cell ring: each piece fits at every cell.
     ring = build_universe(Torus(TorusLattice((3, 1), (1, 2))), (L_TROMINO, H_DOM))
     assert [(pl.piece, pl.at) for pl in ring.placements] == \
