@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable
 
 import numpy as np
@@ -76,21 +76,40 @@ def bounding_box(cells) -> tuple[int, int, int, int]:
     return int(x.min()), int(y.min()), int(x.max()) + 1, int(y.max()) + 1
 
 
-def _connected_rows(xy: np.ndarray):
-    """The distinct cells of non-empty (x, y) rows in canonical (y, x) order
-    and their ``row_runs``, if edge-connected; else None.  Cells are sorted
-    by row-major keys in their bounding box, reduced column by column (none
-    is formed when a side is as long as the rows are many: such cells are
-    not connected).  Two runs touch iff one's first cell is next to the
-    other, above or below: one search of the run bounds pairs them, and
-    hooking larger roots under smaller ones and pointer jumping joins the
-    pairs (Shiloach and Vishkin, 1982)."""
-    x, y = xy.T
-    x0, y0, x1, y1 = int(x.min()), int(y.min()), int(x.max()), int(y.max())
-    if max(x1 - x0, y1 - y0) >= len(xy):
-        return None
-    width = x1 - x0 + 1
-    key = np.sort((y - y0) * width + x - x0)
+def _connected_rows(*xys: np.ndarray) -> list:
+    """For each (x, y) array, its distinct cells in canonical (y, x) order
+    and their ``row_runs`` if it is non-empty and edge-connected, else None.
+    One pass serves them all.  An array whose side is as long as its cells
+    are many is not connected and is dropped first.  Each other one is keyed
+    row-major in its bounding box, at the widest box's width, into its own
+    range of rows, with a blank row before the next range; the keys are
+    sorted once and split into runs, and each array takes its slice.  Two
+    runs touch iff one's first cell is next to the other, above or below:
+    one search of the run bounds pairs them, and hooking larger roots under
+    smaller ones and pointer jumping joins the pairs (Shiloach and Vishkin,
+    1982); an array is connected iff all its runs join its first."""
+    out, n = [None] * len(xys), [len(xy) for xy in xys]
+    at = [i for i, k in enumerate(n) if k]  # the non-empty arrays
+    if not at:
+        return out
+    xy = np.concatenate(xys) if len(xys) > 1 else xys[0]
+    starts = [s for s, k in zip(accumulate(n, initial=0), n) if k]
+    lo, hi = np.minimum.reduceat(xy, starts), np.maximum.reduceat(xy, starts)
+    # Spans as Python ints: those of far int64 values need not fit int64.
+    span = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(lo.tolist(), hi.tolist())]
+    keep = [max(s) < n[i] for s, i in zip(span, at)]
+    if not (span := [s for s, k in zip(span, keep) if k]):
+        return out
+    if not all(keep):
+        xy, at, lo = xy[np.repeat(keep, [n[i] for i in at])], \
+            [i for i, k in zip(at, keep) if k], lo[keep]
+    n, width = [n[i] for i in at], max(s[0] for s in span) + 1
+    base = [*accumulate((s[1] + 2 for s in span[:-1]), initial=0)]  # first rows
+    # An array's cell (x, y) takes key (y - y0 + base) * width + x - x0, its
+    # box's corner (x0, y0) moved down ``base`` rows; int64 arithmetic wraps,
+    # but the key is small, so it is exact.
+    lo[:, 1] -= base
+    key = np.sort(xy[:, 1] * width + xy[:, 0] - np.repeat(lo[:, 1] * width + lo[:, 0], n))
     key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     # A run starts where a key does not follow the one before, or a row starts.
     col = key % width
@@ -98,20 +117,31 @@ def _connected_rows(xy: np.ndarray):
     lengths = np.concatenate((first[1:], [len(key)])) - first
     start = key[first]
     # A key lies in run i iff exactly 2i + 1 run bounds are at most it.
-    at = np.searchsorted(np.column_stack((start, start + lengths)).ravel(),
-                         np.concatenate((start + width, start - width)), "right")
-    touch = at % 2 == 1
+    found = np.searchsorted(np.column_stack((start, start + lengths)).ravel(),
+                            np.concatenate((start + width, start - width)), "right")
+    touch = found % 2 == 1
     root = np.arange(len(first))
-    a, b = lo, hi = np.concatenate((root, root))[touch], at[touch] // 2
+    a, b = lo_run, hi_run = np.concatenate((root, root))[touch], found[touch] // 2
     while (a != b).any():
         np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
         while (root != (jumped := root[root])).any():
             root = jumped
-        a, b = root[lo], root[hi]
-    if root.any():  # the runs of one piece all have root 0
-        return None
-    xy = np.column_stack((col + x0, key // width + y0))
-    return xy, xy[first], lengths
+        a, b = root[lo_run], root[hi_run]
+    # Each array's first cell and first run.  No run joins another array's,
+    # and a root is the least run of its tree: an array is connected iff its
+    # runs' greatest root is its first run.
+    cells = np.searchsorted(key, [b * width for b in base] + [key[-1] + 1])
+    runs = np.searchsorted(first, cells)
+    joined = (np.maximum.reduceat(root, runs[:-1]) == runs[:-1]).tolist()
+    xy = np.column_stack((col, key // width))
+    xy += np.repeat(lo, np.diff(cells), axis=0)
+    corner = xy[first]
+    cells, runs = cells.tolist(), runs.tolist()
+    for k, i in enumerate(at):
+        if joined[k]:
+            c, r = slice(*cells[k:k + 2]), slice(*runs[k:k + 2])
+            out[i] = xy[c], corner[r], lengths[r]
+    return out
 
 
 def row_runs(cells) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +161,7 @@ def row_runs(cells) -> tuple[np.ndarray, np.ndarray]:
 def is_connected(cells: Iterable[Cell]) -> bool:
     """True iff the shared-edge adjacency graph on the cells is connected
     (never for no cells; diagonal contact does not count)."""
-    return len(xy := cell_array(cells)) > 0 and _connected_rows(xy) is not None
+    return _connected_rows(cell_array(cells))[0] is not None
 
 
 def rasterize(outline: tuple[Cell, ...]) -> CellSet:
@@ -219,18 +249,41 @@ class TorusLattice:
                 yield (x, y)
 
 
+def piece_entry(obj) -> tuple[np.ndarray, str]:
+    """The cells and name of a piece file's ``{"name": str, "cells": [[x, y],
+    ...]}`` entry, whose cells may already be the array ``coord_array`` made
+    of them; GeometryError for an entry of any other structure."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("name"), str)):
+        raise GeometryError("a piece entry needs a string 'name'")
+    cells = obj.get("cells")
+    if (xy := cells if isinstance(cells, np.ndarray) else coord_array(cells)) is None:
+        raise GeometryError(f"piece {obj['name']!r} needs 'cells': integer pairs")
+    return xy, obj["name"]
+
+
+def polyominoes(named_cells: list) -> list[Polyomino]:
+    """``Polyomino(cells, name)`` of each (cells, name) pair, in order, their
+    connectivity checked in one ``_connected_rows`` pass: the first bad piece
+    raises as it would alone."""
+    xys = [cell_array(cells) for cells, _ in named_cells]
+    return [Polyomino(xy, name, rows) for (_, name), xy, rows
+            in zip(named_cells, xys, _connected_rows(*xys))]
+
+
 class Polyomino:
     """A named, non-empty, edge-connected set of unit cells: ``xy``, a
     read-only int64 array of distinct (x, y) rows in canonical (y, x) order,
     and ``runs``, its read-only ``row_runs``, both from the connectivity
-    check; ``cells`` is a frozenset view of ``xy``, derived on first use."""
+    check, ``_connected_rows`` of its cells alone or ``rows``, their part of
+    a joint pass (``polyominoes``); ``cells`` is a frozenset view of ``xy``,
+    derived on first use."""
 
-    def __init__(self, cells, name: str):
+    def __init__(self, cells, name: str, rows=None):
         self.name = name
         xy = cell_array(cells)
         if not len(xy):
             raise GeometryError(f"polyomino {name!r} is empty")
-        if (rows := _connected_rows(xy)) is None:
+        if (rows := rows or _connected_rows(xy)[0]) is None:
             raise GeometryError(f"polyomino {name!r} is not edge-connected")
         for a in rows:
             a.flags.writeable = False
@@ -252,11 +305,5 @@ class Polyomino:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polyomino":
-        """A piece from its ``{"name": str, "cells": [[x, y], ...]}`` entry,
-        whose cells may already be the array ``coord_array`` made of them."""
-        if not (isinstance(obj, dict) and isinstance(obj.get("name"), str)):
-            raise GeometryError("a piece entry needs a string 'name'")
-        cells = obj.get("cells")
-        if (xy := cells if isinstance(cells, np.ndarray) else coord_array(cells)) is None:
-            raise GeometryError(f"piece {obj['name']!r} needs 'cells': integer pairs")
-        return cls(xy, obj["name"])
+        """A piece from its entry in a piece file (``piece_entry``)."""
+        return cls(*piece_entry(obj))

@@ -7,16 +7,15 @@ so its frontier is min(width, height) cells wide.  Count mode sweeps its
 states by frontier layers (the transfer-matrix method, Stanley, EC1 4.7).
 First and enumerate walk the same states depth first on an explicit stack,
 skipping states already shown to hold no tiling, at most ``_MEMO_CAP`` of them.
-``check_tiling`` verifies a given placement list and is the workhorse for
-simulator output.  It readies each piece's row runs once, places them as flat
-intervals, sorts their starts and ends (int32 below 2**31 cells) and sweeps
-over them (after Bentley's note on Klee's measure problem); no array it builds
-is sized by the area.
+``check_tiling`` verifies a placement list.  It readies each piece's row runs
+once, places them as flat intervals, sorts their starts and ends (int32 below
+2**31 cells) and sweeps over them (after Bentley's note on Klee's measure
+problem); no array it builds is sized by the area.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, repeat
 from math import inf
@@ -33,7 +32,7 @@ _BATCH_POINTS = 1 << 18  # placed points check_tiling materialises at a time
 # states in count mode; about 160 B of heap each (tracemalloc), 10 MB in all.
 _MEMO_CAP = 1 << 16
 # Cells of the largest region build_universe takes: first mode for {h, m} on
-# 128 x 128 peaks at 13 MB of heap (tracemalloc), most of it the universe.
+# 128 x 128 peaks at 7.5 MiB of heap (tracemalloc).
 _REGION_CAP = 1 << 14
 
 
@@ -399,71 +398,70 @@ def contained_placements(container: CellSet,
 
 @dataclass
 class PlacementUniverse:
-    """Materialized placements of the pieces inside a region: ``_cover[pid]``
-    lists the cells that placement pid covers, in sweep order: y * width + x,
-    or x * height + y in a rectangle wider than tall."""
+    """Placements inside a region as columns: ``placements`` (a piece index
+    and an offset each, in id order), and each one's lowest cell ``lo`` and
+    its cells as a ``mask`` shifted down by lo, in ``build_universe``'s
+    sweep order."""
 
     region: Region
     pieces: tuple[Polyomino, ...]
-    placements: list[Placement] = field(default_factory=list)
-    _cover: list[tuple[int, ...]] = field(default_factory=list)
+    placements: Placements
+    lo: list[int]
+    mask: list[int]
 
 
 def build_universe(region: Region, pieces: Sequence[Polyomino]) -> PlacementUniverse:
     """Anchor each piece's first canonical cell at every region cell in
     row-major turn; keep the placements whose cells are inside and pairwise
-    distinct.  Cells are numbered in sweep order, along the shorter side: a
-    rectangle wider than tall column by column, so that the search's
-    frontier is its height wide; any other region row by row."""
+    distinct.  Cells are numbered in sweep order, along the shorter side:
+    x * height + y in a rectangle wider than tall, else y * width + x.  A
+    piece's placements share its first one's mask; one a torus seam bends
+    has its own."""
     piece_map(pieces)  # uniqueness check
     if region.area > _REGION_CAP:
         raise RegionLimitError(f"a region of {region.area} cells is over the "
                                f"search limit of {_REGION_CAP} cells")
-    uni = PlacementUniverse(region, tuple(pieces))
-    ry, rx = np.indices((region.height, region.width)).reshape(2, -1)
+    grid = np.indices((region.height, region.width))[::-1].reshape(2, -1).T  # (x, y)
     wide = isinstance(region, Rectangle) and region.width > region.height
-    for piece in uni.pieces:
-        cells = piece.xy
-        ox, oy = rx - cells[0, 0], ry - cells[0, 1]
-        xs, ys = ox[:, None] + cells[:, 0], oy[:, None] + cells[:, 1]
+    index, at, lo, masks = [], [np.empty((0, 2), np.int64)], [], []
+    for k, piece in enumerate(pieces):
+        off = grid - piece.xy[0]  # its first cell at each cell
+        xs, ys = (off[:, None] + piece.xy).transpose(2, 0, 1)
         idx = region.index(xs, ys)
-        if wide:  # column by column: the frontier is height cells wide
+        if wide:
             idx = np.where(idx < 0, -1, xs * region.height + ys)
         ranked = np.sort(idx, axis=1)
         keep = (ranked[:, 0] >= 0) & (np.diff(ranked, axis=1) != 0).all(axis=1)
-        uni.placements += [Placement(piece.name, at) for at
-                           in zip(ox[keep].tolist(), oy[keep].tolist())]
-        uni._cover += map(tuple, idx[keep].tolist())
-    return uni
+        ranked, n = ranked[keep], len(masks)
+        shape = ranked - ranked[:, :1]
+        masks += [sum(1 << c for c in row) for row in shape[:1].tolist()] * len(shape)
+        for i in np.flatnonzero((shape != shape[:1]).any(axis=1)).tolist():
+            masks[n + i] = sum(1 << c for c in shape[i].tolist())
+        index += [k] * len(shape)
+        at.append(off[keep])
+        lo += ranked[:, 0].tolist()
+    return PlacementUniverse(region, tuple(pieces), Placements(
+        [p.name for p in pieces], np.array(index, np.intp), np.concatenate(at)), lo, masks)
 
 
 def _area_reachable(total: int, areas: Sequence[int]) -> bool:
     """Whether total is a nonnegative integer combination of the areas."""
-    mask = (1 << (total + 1)) - 1
-    bits = 1
-    for area in sorted(set(areas)):
-        if area == 0 or area > total:
-            continue
+    mask, bits = (1 << (total + 1)) - 1, 1  # bit i: whether i is one
+    for area in set(areas) - {0}:
         shift = area
-        while True:
-            nxt = (bits | (bits << shift)) & mask
-            if nxt == bits:
-                break
-            bits = nxt
+        while shift <= total:
+            bits = (bits | bits << shift) & mask
             shift *= 2
-        if (bits >> total) & 1:
-            return True
-    return (bits >> total) & 1 == 1
+    return bits >> total & 1 == 1
 
 
-def _starts(cover: list[tuple[int, ...]], n_cells: int):
-    """Per cell lo, the placements whose lowest cell is lo, in id order: their
-    cells as a mask shifted down by lo, and a parallel list of their ids."""
-    masks: list[list[int]] = [[] for _ in range(n_cells)]
-    ids: list[list[int]] = [[] for _ in range(n_cells)]
-    for pid, cells in enumerate(cover):
-        lo = min(cells)
-        masks[lo].append(sum(1 << (c - lo) for c in cells))
+def _starts(universe: PlacementUniverse):
+    """Per cell lo, the masks and ids (parallel lists) of the placements whose
+    lowest cell is lo, in id order."""
+    n = universe.region.area
+    masks, ids = [[] for _ in range(n)], [[] for _ in range(n)]
+    for pid, lo, mask in zip(count(), universe.lo, universe.mask):
+        masks[lo].append(mask)
         ids[lo].append(pid)
     return masks, ids
 
@@ -505,7 +503,7 @@ def _count(starts: list[list[int]], n_cells: int, max_nodes: int | None) -> int:
 
 
 def _walk(starts: list[list[int]], ids: list[list[int]], n_cells: int,
-          stop: float, max_nodes: int | None) -> list[tuple[int, ...]]:
+          stop: float, max_nodes: int | None) -> list[list[int]]:
     """The first ``stop`` tilings, as placement ids, of a depth-first walk of
     ``_count``'s states on an explicit stack: state (i, mask) takes the starts
     of cell i in id order.  A state with no tiling below it is stored with
@@ -515,7 +513,7 @@ def _walk(starts: list[list[int]], ids: list[list[int]], n_cells: int,
     found so far."""
     budget = inf if max_nodes is None else max_nodes
     dead: dict[tuple[int, int], int] = {}  # (i, mask) -> nodes below it
-    solutions: list[tuple[int, ...]] = []
+    solutions: list[list[int]] = []
     chosen: list[int] = []  # the placement that opened each frame
     nodes = 0
     # Frame: cell, mask, next start, and nodes and solutions on entry.
@@ -541,7 +539,7 @@ def _walk(starts: list[list[int]], ids: list[list[int]], n_cells: int,
         if nodes > budget:
             raise SearchLimitError(len(solutions))
         if i + j == n_cells:
-            solutions.append((*chosen, ids[i][k]))
+            solutions.append([*chosen, ids[i][k]])
         elif below is None:
             chosen.append(ids[i][k])
             stack.append([i + j, mask >> j, 0, nodes, len(solutions)])
@@ -555,13 +553,14 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
     Every mode searches one tree: it branches on the first uncovered cell in
     sweep order (``build_universe``: along a rectangle's shorter side), on
     the placements whose lowest cell it is, in id order.  A state is that
-    cell and the covered-cell mask shifted down by it; ``_starts`` lists the
-    placements per cell once.  Count mode returns ``_count``'s sweep of the
-    states by frontier layers, at most ``limit``.  First and enumerate
-    return ``_walk``'s depth-first tilings in the tree's order, the first
-    ``limit`` of them; each tiling is sorted by piece, then y, then x.  In
-    every mode ``max_nodes`` bounds the nodes below the root of that tree,
-    unmemoised, and raises SearchLimitError past it.
+    cell and the covered-cell mask shifted down by it; ``_starts`` groups
+    the universe's start masks by cell.  Count mode returns ``_count``'s
+    sweep of the states by frontier layers, at most ``limit``.  First and
+    enumerate return ``_walk``'s depth-first tilings in the tree's order,
+    the first ``limit`` of them, as the only ``Placement`` records made,
+    each sorted by piece, then y, then x.  In every mode ``max_nodes``
+    bounds the nodes below the root of that tree, unmemoised, and raises
+    SearchLimitError past it.
     """
     if limit is not None and limit < 0:
         raise SolverInputError("limit must be nonnegative")
@@ -570,19 +569,15 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
     n_cells = universe.region.area
     reachable = _area_reachable(n_cells, [len(p) for p in universe.pieces])
     if mode == "count":
-        total = (_count(_starts(universe._cover, n_cells)[0], n_cells, max_nodes)
+        total = (_count(_starts(universe)[0], n_cells, max_nodes)
                  if reachable and limit != 0 else 0)
         return total if limit is None else min(total, limit)
     if not reachable:
         return None if mode == "first" else []
 
     stop = 1 if mode == "first" else inf if limit is None else limit
-    solutions = _walk(*_starts(universe._cover, n_cells), n_cells, stop, max_nodes)
-    tilings = [
-        sorted((universe.placements[pid] for pid in sol),
-               key=lambda pl: (pl.piece, pl.at[1], pl.at[0]))
-        for sol in solutions
-    ]
-    if mode == "first":
-        return tilings[0] if tilings else None
-    return tilings
+    solutions = _walk(*_starts(universe), n_cells, stop, max_nodes)
+    pl = universe.placements
+    tilings = [sorted(Placements(pl.names, pl.piece[sol], pl.at[sol]),
+                      key=lambda p: (p.piece, p.at[1], p.at[0])) for sol in solutions]
+    return tilings if mode == "enumerate" else tilings[0] if tilings else None

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import polywang
 from conftest import THREE_TILE_JSON, THREE_TILE_PATH
-from polywang import cli, solver
+from polywang import cli, geometry, solver
 
 
 @pytest.fixture(scope="module")
@@ -631,6 +631,27 @@ def test_piece_file_errors_in_file_order(tmp_path, capsys, case, cmd):
     assert _run(cmd, path["pieces"], "-o", tmp_path / "out") == code
     expected = message.replace("PIECES", str(path["pieces"]))
     assert capsys.readouterr().err == (expected and expected + "\n")
+
+
+def test_small_pieces_share_one_connectivity_pass(tmp_path, capsys, monkeypatch):
+    passes, rows = [], geometry._connected_rows
+    monkeypatch.setattr(geometry, "_connected_rows",
+                        lambda *xys: passes.append([*map(len, xys)]) or rows(*xys))
+    small, big = [[0, 0], [1, 0]], [[x, 0] for x in range(cli._JOINT_CELLS + 1)]
+    entries = [{"name": f"p{i}", "cells": cells}
+               for i, cells in enumerate([small, small, big, small, small, small])]
+    path = tmp_path / "pieces.json"
+    path.write_text(json.dumps(entries))
+    pieces = cli._load_polyominoes(str(path))
+    # Consecutive pieces join while their cells total at most _JOINT_CELLS.
+    assert passes == [[2, 2], [cli._JOINT_CELLS + 1], [2, 2, 2]]
+    assert [p.name for p in pieces] == [e["name"] for e in entries]
+    # A disconnected piece in a pass still raises before a later bad entry.
+    bad = {"name": "d", "cells": [[0, 0], [2, 0]]}
+    path.write_text(json.dumps(entries[:2] + [bad] + entries[2:] + [{"cells": []}]))
+    capsys.readouterr()
+    assert _run("info", path) == 2
+    assert capsys.readouterr().err == "input error: polyomino 'd' is not edge-connected\n"
 
 
 def _traced_peak(fn, *args) -> int:

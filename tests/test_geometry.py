@@ -10,10 +10,13 @@ from polywang.geometry import (
     GeometryError,
     Polyomino,
     TorusLattice,
+    _connected_rows,
     bounding_box,
     canonical,
+    cell_array,
     is_connected,
     is_coord_pair,
+    polyominoes,
     rasterize,
     row_runs,
     translate,
@@ -194,6 +197,58 @@ def test_connectivity_over_many_hook_rounds(lows):
     assert not _bfs_connected(combs) and not is_connected(combs)
     with pytest.raises(GeometryError, match="not edge-connected"):
         Polyomino(combs, "combs")
+
+
+# Far enough apart that a flat row-major index of the span between them
+# wraps int64 (test_is_connected); and the ends of int64.
+_FAR = 0x5555555555555557
+_EXTREME = st.sampled_from([0, 1, -1, COORD_BOUND - 1, -COORD_BOUND + 1, _FAR, -_FAR,
+                            -2 ** 63, -2 ** 63 + 1, 2 ** 63 - 2, 2 ** 63 - 1])
+_SHIFT = st.integers(-COORD_BOUND + 1, COORD_BOUND - 1)
+# Cell lists with repeats, disconnected ones, empty ones, pieces far apart
+# and spans up to the coordinate bound and past int64.
+_PIECE_CELLS = st.one_of(
+    st.builds(lambda cells, dx, dy: [(x + dx, y + dy) for x, y in cells],
+              _CELL_SETS, _SHIFT, _SHIFT),
+    st.lists(st.tuples(_EXTREME, _EXTREME), max_size=3),
+    st.lists(st.tuples(_SHIFT, _SHIFT), min_size=1, max_size=2))
+
+
+@given(st.lists(_PIECE_CELLS, min_size=1, max_size=8))
+# A piece whose span is at least its cell count is dropped before any key is
+# formed: the far piece's keys would overflow and widen the shared rows.
+@example([[(0, 0), (1, 0)], [(0, 0), (_FAR, 0)]])
+@example([[(0, 0), (1, 0), (0, 0)], [(0, 0), (1, 0)], [(0, 0), (1, 0), (0, 0)]])
+@example([[(0, 0), (0, 1)], [(5, -2 ** 63), (5, -2 ** 63 + 1)], [(2 ** 63 - 1, 2 ** 63 - 1)]])
+@settings(max_examples=300)
+def test_joint_pass_matches_one_piece_at_a_time(pieces):
+    # The pass itself: each piece's part, connected or not, is its own alone
+    # (Polyomino would mend a piece found disconnected by checking it again).
+    xys = list(map(cell_array, pieces))
+    for rows, xy, cells in zip(_connected_rows(*xys), xys, pieces):
+        assert (rows is not None) == _bfs_connected(cells)
+        assert rows is None or all(map(np.array_equal, rows, _connected_rows(xy)[0]))
+    named = [(cells, f"p{i}") for i, cells in enumerate(pieces)]
+    alone = []
+    for cells, name in named:
+        try:
+            alone.append(Polyomino(cells, name))
+        except GeometryError as exc:
+            alone.append(str(exc))
+            break
+    try:
+        joint = polyominoes(named)
+    except GeometryError as exc:  # the same first bad piece, the same message
+        assert str(exc) == alone[-1]
+        return
+    assert len(joint) == len(alone) == len(pieces)
+    for one, both, cells in zip(alone, joint, pieces):
+        assert both.name == one.name and _bfs_connected(cells)
+        assert np.array_equal(both.xy, one.xy)
+        assert both.canonical_cells() == canonical(cells)
+        assert all(map(np.array_equal, both.runs, one.runs))
+        assert all(map(np.array_equal, both.runs, row_runs(cells)))
+        assert not (both.xy.flags.writeable or any(a.flags.writeable for a in both.runs))
 
 
 _JSON_CELLS = st.lists(

@@ -165,7 +165,7 @@ def _reference_solve(universe, mode="first", limit=None, max_nodes=None):
     if max_nodes is not None and max_nodes < 0:
         raise SolverInputError("max_nodes must be nonnegative")
     n_cells = universe.region.area
-    cover = universe._cover
+    cover = _sweep_cells(universe)
     areas = [len(p) for p in universe.pieces]
     if not solver._area_reachable(n_cells, areas):
         if mode == "count":
@@ -202,14 +202,33 @@ def _reference_solve(universe, mode="first", limit=None, max_nodes=None):
     solutions = islice(search(0), 1 if mode == "first" else limit)
     if mode == "count":
         return sum(1 for _ in solutions)
+    placements = list(universe.placements)
     tilings = [
-        sorted((universe.placements[pid] for pid in sol),
+        sorted((placements[pid] for pid in sol),
                key=lambda pl: (pl.piece, pl.at[1], pl.at[0]))
         for sol in solutions
     ]
     if mode == "first":
         return tilings[0] if tilings else None
     return tilings
+
+
+def _sweep_cells(universe):
+    """The cells each placement covers, numbered in sweep order from its own
+    piece and offset, not from build_universe's arrays: y * W + x in a
+    rectangle, x * H + y in one wider than tall, and y * A + x on a torus,
+    of the cell reduced by the lattice's Hermite normal form (A, B, C)."""
+    region, table = universe.region, {p.name: p for p in universe.pieces}
+    wide = isinstance(region, Rectangle) and region.width > region.height
+    cover = []
+    for pl in universe.placements:
+        cells = translate(table[pl.piece].cells, pl.at)
+        if isinstance(region, Torus):
+            cells = [*map(region.lattice.reduce, cells)]
+        assert all(0 <= x < region.width and 0 <= y < region.height for x, y in cells)
+        cover.append(tuple(x * region.height + y if wide else y * region.width + x
+                           for x, y in cells))
+    return cover
 
 
 def _torus_lattices():
@@ -234,6 +253,37 @@ _SMALL_REGIONS = st.one_of(st.builds(Rectangle, st.integers(1, 3), st.integers(1
 # Universes with pinned first and enumerate budgets.
 _TORUS_LJHV = (Torus(TorusLattice((4, 0), (1, 3))), (L_TROMINO, J_TROMINO, H_DOM, V_DOM))
 _STRIP_HV = (Rectangle(2, 10), (H_DOM, V_DOM))
+
+
+# Each placement's lowest cell and start mask are those of its own cells, in
+# rectangles of both orientations and on tori whose seam bends placements.
+@given(st.one_of(st.builds(Rectangle, st.integers(1, 6), st.integers(1, 6)),
+                 _torus_lattices()), _SEARCH_PIECE_LISTS)
+@example(Torus(TorusLattice((4, 0), (1, 3))), (L_TROMINO, J_TROMINO, H_DOM, V_DOM))
+@example(Torus(TorusLattice((5, 0), (2, 4))), (L_TROMINO, J_TROMINO, H_DOM, V_DOM))
+@example(Rectangle(6, 4), (L_TROMINO, J_TROMINO, H_DOM, V_DOM))
+@example(Rectangle(4, 6), (L_TROMINO, J_TROMINO, H_DOM, V_DOM))
+@settings(max_examples=60, deadline=None)
+def test_start_masks_are_those_of_each_placements_cells(region, pieces):
+    universe = build_universe(region, pieces)
+    cover = _sweep_cells(universe)
+    assert len(universe.lo) == len(universe.mask) == len(cover)
+    assert universe.lo == [min(cells) for cells in cover]
+    assert universe.mask == [sum(1 << (c - min(cells)) for c in cells) for cells in cover]
+
+
+def test_torus_seam_bends_start_masks():
+    # On these tori some placements of each piece have a start mask of
+    # their own; in a rectangle every placement of a piece shares one.
+    for basis in (((4, 0), (1, 3)), ((5, 0), (2, 4))):
+        universe = build_universe(Torus(TorusLattice(*basis)),
+                                  (L_TROMINO, J_TROMINO, H_DOM, V_DOM))
+        for k in range(4):
+            masks = {m for m, i in zip(universe.mask, universe.placements.piece) if i == k}
+            assert len(masks) > 1
+    for region in (Rectangle(6, 4), Rectangle(4, 6)):
+        universe = build_universe(region, (L_TROMINO, J_TROMINO, H_DOM, V_DOM))
+        assert len(set(universe.mask)) == 4
 
 
 # Every node budget up to one past the whole search, and limits around the
@@ -450,6 +500,22 @@ def test_count_heap_is_held_to_the_frontier(width, height, pieces, expected, hea
         tracemalloc.stop()
     assert got == _dp_count(width, height, pieces) == expected
     assert peak < heap_mb * 2 ** 20
+
+
+# The largest region, {h, m} on 128 x 128: building and searching it in
+# first mode peaks at 7.5 MiB of heap, against 12.7 MiB when each placement
+# was a record and a tuple of its cells (tracemalloc).
+def test_first_search_heap_on_the_largest_region():
+    region, pieces = Rectangle(128, 128), (H_DOM, Polyomino([(0, 0)], "m"))
+    tracemalloc.start()
+    try:
+        tiling = solve(build_universe(region, pieces), "first")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert region.area == solver._REGION_CAP
+    assert check_tiling(region, pieces, tiling).exact
+    assert peak < 10 * 2 ** 20
 
 
 def _dp_count(width, height, pieces):
@@ -833,22 +899,24 @@ def test_large_failure_report_pinned(tmp_path, three_tile_set, three_tile_torus,
 def test_build_universe_pinned_rows():
     # A rectangle no wider than tall numbers its cells row by row, y * 2 + x
     # here; a wider one column by column, x * 2 + y here.  Placements keep
-    # their row-major anchor order either way.
+    # their row-major anchor order either way.  Each has its lowest cell and
+    # the mask of its cells shifted down by it.
     tall = build_universe(Rectangle(2, 3), (L_TROMINO, H_DOM))
     assert [(pl.piece, pl.at) for pl in tall.placements] == [
         ("L", (0, 0)), ("L", (0, 1)), ("h", (0, 0)), ("h", (0, 1)), ("h", (0, 2))]
-    assert tall._cover == [(0, 1, 2), (2, 3, 4), (0, 1), (2, 3), (4, 5)]
+    assert (tall.lo, tall.mask) == ([0, 2, 0, 2, 4], [0b111, 0b111, 0b11, 0b11, 0b11])
     rect = build_universe(Rectangle(3, 2), (L_TROMINO, H_DOM))
     assert [(pl.piece, pl.at) for pl in rect.placements] == [
         ("L", (0, 0)), ("L", (1, 0)),
         ("h", (0, 0)), ("h", (1, 0)), ("h", (0, 1)), ("h", (1, 1))]
-    assert rect._cover == [(0, 2, 1), (2, 4, 3), (0, 2), (2, 4), (1, 3), (3, 5)]
+    assert (rect.lo, rect.mask) == ([0, 2, 0, 2, 1, 3], [0b111] * 2 + [0b101] * 4)
     # A skewed basis of a 5-cell ring: each piece fits at every cell.
     ring = build_universe(Torus(TorusLattice((3, 1), (1, 2))), (L_TROMINO, H_DOM))
     assert [(pl.piece, pl.at) for pl in ring.placements] == \
         [("L", (x, 0)) for x in range(5)] + [("h", (x, 0)) for x in range(5)]
-    assert ring._cover == [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1),
-                           (0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+    # Cells (3, 4, 0), (4, 0, 1) and (4, 0) bend round the seam: masks of their own.
+    assert (ring.lo, ring.mask) == ([0, 1, 2, 0, 0, 0, 1, 2, 3, 0],
+                                    [0b111] * 3 + [0b11001, 0b10011] + [0b11] * 4 + [0b10001])
 
 
 def test_check_tiling_torus_wraps():
