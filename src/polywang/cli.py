@@ -29,11 +29,6 @@ EXIT_OK = 0
 EXIT_UNSAT = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
-# Cells of consecutive pieces whose connectivity one pass checks.  Joining
-# small pieces saves numpy's fixed cost per call, about 80 us a piece; joining
-# all seven pieces of a 49,434-cell file doubled the pass's heap peak, 1.5 to
-# 3.0 MB (tracemalloc), and saved no time, so a larger piece is checked alone.
-_JOINT_CELLS = 1 << 12
 
 
 class CliError(Exception):
@@ -73,49 +68,29 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
             bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
 
 
-def _column(values, end: str):
-    """A format for each of ``values`` (at indent ``end``) and the columns
-    of values it reads, if they are all int, all str or all [int, int] lists,
-    or an int array of shape (k,) or (k, 2), whose dtype proves them ints.
-    A ``solver.Placements`` stands for its piece names, each encoded once."""
-    if isinstance(values, solver.Placements):
-        names = [*map(encode_basestring_ascii, values.names)]
-        return "%s", [[*map(names.__getitem__, values.piece.tolist())]]
-    if isinstance(values, np.ndarray):
-        if values.ndim == 1:
-            return "%d", [values.tolist()]
-        return f"[{end} %d,{end} %d{end}]", values.T.tolist()  # e.g. cells
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        return "%d", [values]
-    if kinds == {str}:
-        return "%s", [list(map(encode_basestring_ascii, values))]
-    if (kinds == {list} and set(map(len, values)) == {2}
-            and set(map(type, chain.from_iterable(values))) == {int}):
-        return f"[{end} %d,{end} %d{end}]", list(zip(*values))  # e.g. a cell
-    return None
-
-
-def _records(keys, columns, end: str):
-    """As _column, for records with ``keys`` given as their values per key
-    (``columns``, of a ``solver.Records``), if each suits _column; else None."""
-    indent = end + " "
-    fields, flat = [], []
-    for key, values in zip(keys, columns):
-        if (column := _column(values, indent)) is None:
-            return None
-        fields.append(f"{encode_basestring_ascii(key).replace('%', '%%')}: {column[0]}")
-        flat += column[1]
-    return "{" + indent + f",{indent}".join(fields) + end + "}", flat
-
-
 def _rows(obj, end: str):
-    """One row format and its columns for the whole list ``obj``, or None."""
+    """One row format (at indent ``end``) and its value columns for the whole
+    list ``obj``, if it is an int array of shape (k,) or (k, 2), a
+    ``solver.Records`` whose columns are such arrays or a
+    ``solver.Placements`` (each piece name encoded once), or a list of ints;
+    else None."""
+    if isinstance(obj, np.ndarray):  # one column, read row by row
+        row = "%d" if obj.ndim == 1 else f"[{end} %d,{end} %d{end}]"
+        return row, [obj.ravel().tolist()]
     if isinstance(obj, solver.Records):
-        return _records(obj.keys, obj.columns, end)
-    if isinstance(obj, np.ndarray) and obj.ndim == 2:  # one column, read row by row
-        return f"[{end} %d,{end} %d{end}]", [obj.ravel().tolist()]
-    return _column(obj, end)
+        indent = end + " "
+        fields, columns = [], []
+        for key, values in zip(obj.keys, obj.columns):
+            if isinstance(values, solver.Placements):  # its piece names
+                names = [*map(encode_basestring_ascii, values.names)]
+                row, values = "%s", [[*map(names.__getitem__, values.piece.tolist())]]
+            else:  # an int array: its row format, read off no rows, and a
+                # column per array column, for the records to interleave
+                row, values = _rows(values[:0], indent)[0], np.atleast_2d(values.T).tolist()
+            fields.append(f"{encode_basestring_ascii(key).replace('%', '%%')}: {row}")
+            columns += values
+        return "{" + indent + f",{indent}".join(fields) + end + "}", columns
+    return ("%d", [obj]) if set(map(type, obj)) == {int} else None
 
 
 def _json_parts(obj, end: str = "\n"):
@@ -244,19 +219,14 @@ def _polyominoes(path: str, obj):
     entries = obj.get("pieces") if isinstance(obj, dict) else obj
     if not isinstance(entries, list):
         raise CliError(f"{path}: pieces must be a list of piece entries")
-    pieces, batch, cells = [], [], 0
+    named = []
     for entry in entries:  # each entry's structure, in file order
         try:
-            xy, name = piece_entry(entry)
+            named.append(piece_entry(entry))
         except GeometryError:
-            polyominoes(batch)  # a bad piece before this entry raises first
+            polyominoes(named)  # a bad piece before this entry raises first
             raise
-        if cells + len(xy) > _JOINT_CELLS:  # a larger piece is checked alone
-            pieces += polyominoes(batch)
-            batch, cells = [], 0
-        batch.append((xy, name))
-        cells += len(xy)
-    return (*pieces, *polyominoes(batch))
+    return polyominoes(named)
 
 
 def _tiling_json(region: solver.Region, tiling) -> dict:
@@ -310,7 +280,7 @@ def cmd_info(args) -> int:
         x0, y0, x1, y1 = bounding_box(p.xy)
         rows.append(f"{p.name:12s} {len(p):6d} cells  "
                     f"bbox {x1 - x0}x{y1 - y0} at ({x0},{y0})  "
-                    "connected=True")  # checked by _polyominoes
+                    "connected=True")  # as every Polyomino is
     _write(args.output, ["\n".join(rows) + "\n"])
     return EXIT_OK
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import blocks
 from .blocks import BLOCK, CANONICAL_OFFSETS, BlockKind, geometry, partner
-from .geometry import Polyomino, Vec
+from .geometry import Polyomino, Vec, polyominoes
 from .wang import WangTileSet
 
 PIECE_NAMES = ("encoder", "l_linker", "r_linker", "a_filler", "b_filler",
@@ -86,8 +86,9 @@ class BlockGrid:
         self.entries[(col, row)] = (kind, anchor)
 
 
-def assemble(grid: BlockGrid, name: str) -> Polyomino:
-    """Realize a block grid as a unit-cell polyomino.
+def assemble(grid: BlockGrid, name: str) -> np.ndarray:
+    """Realize a block grid as the (x, y) rows of a unit-cell polyomino's
+    cells, for ``Polyomino`` to check for connectivity.
 
     Cells may only coincide where a bump exactly fills a neighboring dent;
     a dent that faces an occupied neighbor must end up filled.  Both are
@@ -119,7 +120,7 @@ def assemble(grid: BlockGrid, name: str) -> Polyomino:
     hollow = np.flatnonzero(~np.isin(key[n:], taken))
     if len(hollow):
         raise CompileError(f"{name}: unfilled dent at {dent_blocks[hollow[0]]}")
-    return Polyomino(xy[:n], name)
+    return xy[:n]
 
 
 def _encoder_grid(tileset: WangTileSet) -> BlockGrid:
@@ -212,13 +213,13 @@ def require_supported(tileset: WangTileSet) -> None:
 def compile_pieces(tileset: WangTileSet) -> SevenPieceSet:
     """Compile a Wang tile set into its seven polyominoes."""
     require_supported(tileset)
-    pieces = (
+    cells = (
         assemble(_encoder_grid(tileset), "encoder"),
         *(assemble(_linker_grid(tileset, CANONICAL_OFFSETS[slot]), name)
           for slot, name in LINKER_PIECE.items()),
         assemble(_filler_grid(BlockKind.A_DENT, BlockKind.A_BUMP), "a_filler"),
         assemble(_filler_grid(BlockKind.B_DENT, BlockKind.B_BUMP), "b_filler"),
         assemble(_connector_grid(tileset), "connector"),
-        Polyomino(blocks.TAB_CELLS, "t_filler"),
+        blocks.TAB_CELLS,
     )
-    return SevenPieceSet(pieces, tileset)
+    return SevenPieceSet(polyominoes([*zip(cells, PIECE_NAMES)]), tileset)

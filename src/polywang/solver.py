@@ -159,8 +159,9 @@ Placement = NamedTuple("Placement", [("piece", str), ("at", Vec)])
 
 
 class Records:
-    """Records with the same ``keys`` as one column per key (a list, an int
-    array, or a ``Placements`` for its piece names), for ``cli._json_text``."""
+    """Records with the same ``keys`` as one column per key (an int array of
+    shape (k,) or (k, 2), or a ``Placements`` for its piece names), for
+    ``cli._json_text``."""
 
     def __init__(self, keys: tuple[str, ...], *columns):
         self.keys, self.columns = keys, columns
@@ -562,6 +563,8 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
     bounds the nodes below the root of that tree, unmemoised, and raises
     SearchLimitError past it.
     """
+    if mode not in ("first", "count", "enumerate"):
+        raise SolverInputError(f"unknown mode {mode!r}")
     if limit is not None and limit < 0:
         raise SolverInputError("limit must be nonnegative")
     if max_nodes is not None and max_nodes < 0:

@@ -130,17 +130,35 @@ _PLACEMENTS = st.lists(st.tuples(_JSON_STRINGS, st.tuples(st.integers(-5, 5),
                        max_size=4).map(solver.Placements.of)
 
 
+def _overlap_records(cells, a, b):
+    """A cover report's overlap records: a (k, 2) ``cell`` column and int
+    ``a``, ``b`` columns."""
+    return solver.Records(("cell", "a", "b"), np.array(cells, np.int64).reshape(-1, 2),
+                          *(np.array(c, np.int64) for c in (a, b)))
+
+
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+_OVERLAPS = st.integers(0, 4).flatmap(lambda k: st.builds(
+    _overlap_records, *(st.lists(v, min_size=k, max_size=k)
+                        for v in (st.tuples(_INT64, _INT64), _INT64, _INT64))))
+
+
 def _as_json(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    return [{"piece": pl.piece, "at": list(pl.at)} for pl in obj]
+    if isinstance(obj, solver.Placements):
+        return [{"piece": pl.piece, "at": list(pl.at)} for pl in obj]
+    return [dict(zip(obj.keys, row)) for row in zip(*(c.tolist() for c in obj.columns))]
 
 
-@given(st.recursive(_JSON_SCALARS | _INT_ARRAYS | _PLACEMENTS,
+@given(st.recursive(_JSON_SCALARS | _INT_ARRAYS | _PLACEMENTS | _OVERLAPS,
                     lambda inner: st.lists(inner, max_size=4)
                     | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
                     max_leaves=12))
 @example(np.zeros(0, np.int64))
+@example({"overlaps": _overlap_records([], [], [])})
+@example({"uncovered": np.zeros((0, 2), np.int64), "overlaps": _overlap_records(
+    [(3, -(2 ** 31 - 1)), (0, 0)], [0, 2 ** 63 - 1], [1, -2 ** 63])})
 @example({"a": [{"cells": np.zeros((0, 2), np.int64)}]})
 @example([np.array([-3, 2 ** 31 - 1]), {"a": [1, {"cells": np.array(
     [[0, -(2 ** 31 - 1)], [-7, 2 ** 31 - 1]])}]}])
@@ -637,14 +655,14 @@ def test_small_pieces_share_one_connectivity_pass(tmp_path, capsys, monkeypatch)
     passes, rows = [], geometry._connected_rows
     monkeypatch.setattr(geometry, "_connected_rows",
                         lambda *xys: passes.append([*map(len, xys)]) or rows(*xys))
-    small, big = [[0, 0], [1, 0]], [[x, 0] for x in range(cli._JOINT_CELLS + 1)]
+    small, big = [[0, 0], [1, 0]], [[x, 0] for x in range(geometry._JOINT_CELLS + 1)]
     entries = [{"name": f"p{i}", "cells": cells}
                for i, cells in enumerate([small, small, big, small, small, small])]
     path = tmp_path / "pieces.json"
     path.write_text(json.dumps(entries))
     pieces = cli._load_polyominoes(str(path))
     # Consecutive pieces join while their cells total at most _JOINT_CELLS.
-    assert passes == [[2, 2], [cli._JOINT_CELLS + 1], [2, 2, 2]]
+    assert passes == [[2, 2], [geometry._JOINT_CELLS + 1], [2, 2, 2]]
     assert [p.name for p in pieces] == [e["name"] for e in entries]
     # A disconnected piece in a pass still raises before a later bad entry.
     bad = {"name": "d", "cells": [[0, 0], [2, 0]]}

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import random_tileset
-from polywang import cli
+from polywang import cli, geometry
 from polywang.blocks import BlockKind
 from polywang.compiler import (
     BlockGrid,
@@ -76,7 +76,7 @@ def test_assemble_bump_dent_pair():
     grid = BlockGrid()
     grid.place(0, 0, BlockKind.Y_PLUS)
     grid.place(0, 1, BlockKind.Y_PLUS_DENT)
-    piece = assemble(grid, "pair")
+    piece = Polyomino(assemble(grid, "pair"), "pair")
     assert piece.cells == frozenset((x, y) for x in range(10) for y in range(20))
 
 
@@ -105,7 +105,7 @@ def test_assemble_rejects_disconnected_grid():
     slot.place(0, 0, L)
     for grid in (apart, slot):
         with pytest.raises(GeometryError, match="not edge-connected"):
-            assemble(grid, "bad")
+            Polyomino(assemble(grid, "bad"), "bad")
 
 
 def test_assemble_rejects_unfilled_dent():
@@ -121,6 +121,15 @@ def test_compile_three_tile_counts(three_tile_pieces):
     assert three_tile_pieces.cell_counts == (8872, 1776, 1776, 620, 620, 4096, 18)
     for piece in three_tile_pieces.pieces:
         assert is_connected(piece.cells)
+
+
+def test_compile_joins_small_pieces_in_connectivity_passes(three_tile_set, monkeypatch):
+    passes, rows = [], geometry._connected_rows
+    monkeypatch.setattr(geometry, "_connected_rows",
+                        lambda *xys: passes.append([*map(len, xys)]) or rows(*xys))
+    compile_pieces(three_tile_set)
+    # Consecutive pieces join while their cells total at most 2**12.
+    assert passes == [[8872], [1776, 1776], [620, 620], [4096], [18]]
 
 
 def test_minimal_set_encoder_width():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polywang import geometry
 from polywang.geometry import (
     COORD_BOUND,
     GeometryError,
@@ -249,6 +250,23 @@ def test_joint_pass_matches_one_piece_at_a_time(pieces):
         assert all(map(np.array_equal, both.runs, one.runs))
         assert all(map(np.array_equal, both.runs, row_runs(cells)))
         assert not (both.xy.flags.writeable or any(a.flags.writeable for a in both.runs))
+
+
+
+@pytest.mark.parametrize("sizes, passes", [
+    ([], []),
+    ([4094, 2, 1], [[4094, 2], [1]]),
+    ([4094, 3, 4093], [[4094], [3, 4093]]),
+    ([1, 4097, 1], [[1], [4097], [1]]),
+])
+def test_joint_passes_total_at_most_joint_cells(monkeypatch, sizes, passes):
+    assert geometry._JOINT_CELLS == 4096
+    seen, rows = [], geometry._connected_rows
+    monkeypatch.setattr(geometry, "_connected_rows",
+                        lambda *xys: seen.append([*map(len, xys)]) or rows(*xys))
+    named = [([(x, 0) for x in range(k)], f"p{i}") for i, k in enumerate(sizes)]
+    assert [len(p) for p in polyominoes(named)] == sizes
+    assert seen == passes
 
 
 _JSON_CELLS = st.lists(

@@ -82,6 +82,14 @@ def test_limit_is_scheduling_independent():
         solve(universe, "count", limit=-1)
 
 
+@pytest.mark.parametrize("mode", ["frist", "Count", "", None])
+def test_unknown_mode_rejected(mode):
+    # Not read as enumerate, whose first tiling 2x4 dominoes would return.
+    universe = build_universe(Rectangle(2, 4), (H_DOM, V_DOM))
+    with pytest.raises(SolverInputError, match="unknown mode"):
+        solve(universe, mode)
+
+
 def test_piece_permutation_invariance():
     a = _count(Rectangle(2, 6), (H_DOM, V_DOM))
     b = _count(Rectangle(2, 6), (V_DOM, H_DOM))
