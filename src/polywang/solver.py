@@ -41,7 +41,7 @@ class SolverInputError(ValueError):
 
 
 class RegionLimitError(RuntimeError):
-    """A region of over _REGION_CAP cells, or a count of over _MEMO_CAP states."""
+    """Over _REGION_CAP cells or Wang items, or a count of over _MEMO_CAP states."""
 
 
 class SearchLimitError(RuntimeError):
@@ -467,19 +467,19 @@ def _starts(universe: PlacementUniverse):
     return masks, ids
 
 
-def _count(starts: list[list[int]], n_cells: int, max_nodes: int | None) -> int:
-    """The tilings, counted by frontier layers.  ``layers[i]`` maps each
-    covered-cell mask whose first uncovered cell is i, shifted down by i, to
-    the search paths that reach it; ``starts[i]`` holds the masks of
-    ``_starts``.  Each state of layer i moves its paths through each start
-    of ``starts[i]`` it misses, to the layer of its new first uncovered cell;
-    only layers ahead are held, ``_MEMO_CAP`` states at most.  ``nodes`` adds
-    up the paths moved, the nodes of the search on the first uncovered cell;
-    past ``max_nodes``, the tilings completed so far."""
-    layers: list[dict[int, int] | None] = [{0: 1}, *({} for _ in range(n_cells))]
+def count_covers(starts: list[list[int]], n_items: int, max_nodes: int | None) -> int:
+    """The exact covers, counted by frontier layers.  ``layers[i]`` maps each
+    covered-item mask whose first uncovered item is i, shifted down by i, to
+    the search paths that reach it; ``starts[i]`` holds the masks, shifted
+    down by i, of the options whose lowest item is i.  Each state of layer i
+    moves its paths through each start it misses, to the layer of its new
+    first uncovered item; only layers ahead are held, ``_MEMO_CAP`` states
+    at most.  ``nodes`` adds up the paths moved; past ``max_nodes``, the
+    covers completed so far."""
+    layers: list[dict[int, int] | None] = [{0: 1}, *({} for _ in range(n_items))]
     budget = inf if max_nodes is None else max_nodes
     nodes, live = 0, 1
-    for i in range(n_cells):
+    for i in range(n_items):
         layer, layers[i] = layers[i], None
         live -= len(layer)
         for state, paths in layer.items():
@@ -490,7 +490,7 @@ def _count(starts: list[list[int]], n_cells: int, max_nodes: int | None) -> int:
                 j = (~mask & (mask + 1)).bit_length() - 1
                 nodes += paths
                 if nodes > budget:
-                    raise SearchLimitError(layers[n_cells].get(0, 0))
+                    raise SearchLimitError(layers[n_items].get(0, 0))
                 nxt, key = layers[i + j], mask >> j
                 if key in nxt:
                     nxt[key] += paths
@@ -500,18 +500,17 @@ def _count(starts: list[list[int]], n_cells: int, max_nodes: int | None) -> int:
                 if live > _MEMO_CAP:
                     raise RegionLimitError(f"the count needs more than {_MEMO_CAP} live "
                                            "frontier states, over the search limit")
-    return layers[n_cells].get(0, 0)
+    return layers[n_items].get(0, 0)
 
 
-def _walk(starts: list[list[int]], ids: list[list[int]], n_cells: int,
-          stop: float, max_nodes: int | None) -> list[list[int]]:
-    """The first ``stop`` tilings, as placement ids, of a depth-first walk of
-    ``_count``'s states on an explicit stack: state (i, mask) takes the starts
-    of cell i in id order.  A state with no tiling below it is stored with
-    its subtree's nodes, ``_MEMO_CAP`` states at most, and skipped when met
-    again; its nodes count as if searched, so ``nodes`` counts those of the
-    unmemoised tree, as ``_count``'s do.  Past ``max_nodes``, the tilings
-    found so far."""
+def walk_covers(starts: list[list[int]], ids: list[list[int]], n_items: int,
+                stop: float, max_nodes: int | None) -> list[list[int]]:
+    """The first ``stop`` covers, as option ids, of a depth-first walk of
+    ``count_covers``' states on an explicit stack: state (i, mask) takes the
+    starts of item i in id order.  A state with no cover below it is stored
+    with its subtree's nodes, ``_MEMO_CAP`` states at most, and skipped when
+    met again; its nodes count as if searched, so ``nodes`` counts those of
+    the unmemoised tree.  Past ``max_nodes``, the covers found so far."""
     budget = inf if max_nodes is None else max_nodes
     dead: dict[tuple[int, int], int] = {}  # (i, mask) -> nodes below it
     solutions: list[list[int]] = []
@@ -539,7 +538,7 @@ def _walk(starts: list[list[int]], ids: list[list[int]], n_cells: int,
         nodes += 1 + (below or 0)  # a dead state's subtree, as if searched
         if nodes > budget:
             raise SearchLimitError(len(solutions))
-        if i + j == n_cells:
+        if i + j == n_items:
             solutions.append([*chosen, ids[i][k]])
         elif below is None:
             chosen.append(ids[i][k])
@@ -555,9 +554,9 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
     sweep order (``build_universe``: along a rectangle's shorter side), on
     the placements whose lowest cell it is, in id order.  A state is that
     cell and the covered-cell mask shifted down by it; ``_starts`` groups
-    the universe's start masks by cell.  Count mode returns ``_count``'s
+    the universe's start masks by cell.  Count mode returns ``count_covers``'
     sweep of the states by frontier layers, at most ``limit``.  First and
-    enumerate return ``_walk``'s depth-first tilings in the tree's order,
+    enumerate return ``walk_covers``' depth-first tilings in the tree's order,
     the first ``limit`` of them, as the only ``Placement`` records made,
     each sorted by piece, then y, then x.  In every mode ``max_nodes``
     bounds the nodes below the root of that tree, unmemoised, and raises
@@ -572,14 +571,14 @@ def solve(universe: PlacementUniverse, mode: SolveMode = "first",
     n_cells = universe.region.area
     reachable = _area_reachable(n_cells, [len(p) for p in universe.pieces])
     if mode == "count":
-        total = (_count(_starts(universe)[0], n_cells, max_nodes)
+        total = (count_covers(_starts(universe)[0], n_cells, max_nodes)
                  if reachable and limit != 0 else 0)
         return total if limit is None else min(total, limit)
     if not reachable:
         return None if mode == "first" else []
 
     stop = 1 if mode == "first" else inf if limit is None else limit
-    solutions = _walk(*_starts(universe), n_cells, stop, max_nodes)
+    solutions = walk_covers(*_starts(universe), n_cells, stop, max_nodes)
     pl = universe.placements
     tilings = [sorted(Placements(pl.names, pl.piece[sol], pl.at[sol]),
                       key=lambda p: (p.piece, p.at[1], p.at[0])) for sol in solutions]

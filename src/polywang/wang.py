@@ -1,11 +1,12 @@
-"""Wang tile sets, edge-matching validation, and brute-force torus search."""
+"""Wang tile sets, edge-matching validation, and torus search by exact cover."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from math import inf
 
-from .solver import SolveMode
+from .solver import (_REGION_CAP, RegionLimitError, SolveMode, count_covers,
+                     walk_covers)
 
 
 class WangInputError(ValueError):
@@ -162,65 +163,53 @@ def validate(tileset: WangTileSet, tiling: WangTiling) -> list[tuple]:
     return out
 
 
-def _torus_solutions(tileset: WangTileSet, p: int, q: int) -> Iterator[tuple[int, ...]]:
-    """DFS over cells in row-major order, tile indices ascending.
-
-    The search runs on ``cells`` itself: ``cells[idx]`` holds the tile being
-    tried at the deepest cell, and the cells after it hold -1.
-    """
-    n = tileset.n
-    tiles = tileset.tiles
-    try:  # refused before any allocation when too long, or past any index
-        cells = [-1] * (p * q)
-    except (MemoryError, OverflowError):
-        raise MemoryError(f"a {p}x{q} torus is too large to hold") from None
-
-    def fits(idx: int) -> bool:
-        # West and south neighbours are placed; so is the wrapped east or
-        # north neighbour on the last column or row, unless it is the cell
-        # itself, whose candidate is then compared with itself.
-        b, a = divmod(idx, p)
-        t = tiles[cells[idx]]
-        return ((a == 0 or tiles[cells[idx - 1]].east == t.west)
-                and (a < p - 1 or t.east == tiles[cells[b * p]].west)
-                and (b == 0 or tiles[cells[idx - p]].north == t.south)
-                and (b < q - 1 or t.north == tiles[cells[a]].south))
-
-    idx = 0
-    while idx >= 0:
-        cells[idx] += 1
-        while cells[idx] < n and not fits(idx):
-            cells[idx] += 1
-        if cells[idx] == n:  # no tile left here: back up one cell
-            cells[idx] = -1
-            idx -= 1
-        elif idx + 1 == p * q:
-            yield tuple(cells)
-        else:
-            idx += 1
-
-
 def solve_torus(tileset: WangTileSet, p: int, q: int,
                 mode: SolveMode = "first"):
-    """Valid p x q torus tilings: the first one, all of them, or their count."""
+    """Valid p x q torus tilings: the first one, all of them, or their count.
+
+    Edge matching as an exact cover (Knuth 2000) for ``count_covers`` and
+    ``walk_covers``.  Row b's items: each cell's own, its east edge's m
+    colours, then each cell's m north-edge colours.  A tile covers its cell,
+    each colour but its own of its east and north edges, and its west and
+    south colours of its neighbours' edges: an edge is covered once iff its
+    two colours agree.  The tree places cells row-major, tiles ascending.
+    """
     if p < 1 or q < 1:
         raise WangInputError("dimensions must be positive")
-    sols = _torus_solutions(tileset, p, q)
-    if mode == "first":
-        for cells in sols:
-            return WangTiling(p, q, True, cells)
-        return None
+    if mode not in ("first", "count", "enumerate"):
+        raise WangInputError(f"unknown mode {mode!r}")
+    m = tileset.m
+    w, full = 1 + m, (1 << m) - 1  # w items a cell: its own, its east edge's
+    row = p * (w + m)  # then the row's north edges, m items each
+    if (items := q * row) > _REGION_CAP:
+        raise RegionLimitError(f"a {p}x{q} torus needs {items} exact-cover "
+                               f"items, over the search limit of {_REGION_CAP}")
+    starts, ids = [[] for _ in range(items)], [[] for _ in range(items)]
+    for b in range(q):
+        for a in range(p):
+            cell, north = b * row + a * w, b * row + p * w + a * m
+            west = b * row + (a - 1) % p * w + 1
+            south = (b - 1) % q * row + p * w + a * m
+            for k, t in enumerate(tileset.tiles):
+                mask = (1 << cell | (full ^ 1 << t.east) << cell + 1
+                        | (full ^ 1 << t.north) << north
+                        | 1 << west + t.west | 1 << south + t.south)
+                if mask.bit_count() == 2 * m + 1:  # else it meets itself
+                    lo = (mask & -mask).bit_length() - 1
+                    starts[lo].append(mask >> lo)
+                    ids[lo].append(k)
     if mode == "count":
-        return sum(1 for _ in sols)
-    if mode == "enumerate":
-        return [WangTiling(p, q, True, cells) for cells in sols]
-    raise ValueError(f"unknown mode {mode!r}")
+        return count_covers(starts, items, None)
+    tilings = [WangTiling(p, q, True, tuple(cells)) for cells in
+               walk_covers(starts, ids, items, 1 if mode == "first" else inf, None)]
+    return tilings if mode == "enumerate" else tilings[0] if tilings else None
 
 
 def find_periodic(tileset: WangTileSet, max_cells: int):
     """First solvable torus scanning sizes by p*q ascending, then by p.
 
-    Returns (p, q, tiling) or None if no torus up to max_cells cells works.
+    Returns (p, q, tiling) or None if no torus up to max_cells cells works;
+    raises RegionLimitError at a torus over the search limit.
     """
     if max_cells < 1:
         raise WangInputError("max_cells must be positive")

@@ -261,12 +261,30 @@ def test_solve_wang_deep_torus(workdir):
 
 @pytest.mark.parametrize("side", [1100000000, 3037000500])
 def test_solve_wang_torus_too_large_to_hold_is_resource_limit(workdir, capsys, side):
-    # 1.21e18 cells is more than a list can hold, and 3037000500**2 >= 2**63
-    # is past any index: both are refused before anything is allocated.
+    # 1.21e18 cells, and 3037000500**2 >= 2**63, are far past the 2**14 items
+    # the search takes: both are refused before anything is allocated.
     capsys.readouterr()
     assert _run("solve-wang", workdir / "set.json", "--torus", side, side) == 3
     assert capsys.readouterr().err == \
-        f"error: out of memory: a {side}x{side} torus is too large to hold\n"
+        f"error: a {side}x{side} torus needs {side * side * 9} exact-cover items, " \
+        "over the search limit of 16384\n"
+
+
+@pytest.mark.parametrize("torus, mode, limit", [
+    ((2000, 1), "first", "18000 exact-cover items"), ((8, 8), "count", "live frontier states")])
+def test_solve_wang_past_the_search_limits_is_resource_limit(workdir, capsys,
+                                                             torus, mode, limit):
+    # 2000 x 1 cells of the three-tile set are 18,000 items, over 2**14; an
+    # 8 x 8 count of the full two-colour set needs over 2**16 live states.
+    full = workdir / "full.json"
+    full.write_text(json.dumps({"tiles": [
+        {"n": n, "e": e, "s": s, "w": w}
+        for n in "ab" for e in "ab" for s in "ab" for w in "ab"]}))
+    wang_set = workdir / "set.json" if mode == "first" else full
+    capsys.readouterr()
+    assert _run("solve-wang", wang_set, "--torus", *torus, "--mode", mode) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and limit in err
 
 
 def test_simulate_verify_render(workdir):

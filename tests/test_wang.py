@@ -1,8 +1,10 @@
 import random
+from typing import Iterator
 
 import pytest
 
 from conftest import random_tileset
+from polywang.solver import RegionLimitError
 from polywang.wang import (
     WangInputError,
     WangTile,
@@ -91,12 +93,93 @@ def test_solve_torus_pinned_counts_and_order():
         (0, 0, 0, 0, 3, 3, 3, 3, 1, 1, 1, 1)
 
 
+# The depth-first search solve_torus used before it became an exact cover,
+# kept as the reference for its counts and its row-major order.
+def _torus_solutions(tileset: WangTileSet, p: int, q: int) -> Iterator[tuple[int, ...]]:
+    """DFS over cells in row-major order, tile indices ascending.
+
+    The search runs on ``cells`` itself: ``cells[idx]`` holds the tile being
+    tried at the deepest cell, and the cells after it hold -1.
+    """
+    n = tileset.n
+    tiles = tileset.tiles
+    try:  # refused before any allocation when too long, or past any index
+        cells = [-1] * (p * q)
+    except (MemoryError, OverflowError):
+        raise MemoryError(f"a {p}x{q} torus is too large to hold") from None
+
+    def fits(idx: int) -> bool:
+        # West and south neighbours are placed; so is the wrapped east or
+        # north neighbour on the last column or row, unless it is the cell
+        # itself, whose candidate is then compared with itself.
+        b, a = divmod(idx, p)
+        t = tiles[cells[idx]]
+        return ((a == 0 or tiles[cells[idx - 1]].east == t.west)
+                and (a < p - 1 or t.east == tiles[cells[b * p]].west)
+                and (b == 0 or tiles[cells[idx - p]].north == t.south)
+                and (b < q - 1 or t.north == tiles[cells[a]].south))
+
+    idx = 0
+    while idx >= 0:
+        cells[idx] += 1
+        while cells[idx] < n and not fits(idx):
+            cells[idx] += 1
+        if cells[idx] == n:  # no tile left here: back up one cell
+            cells[idx] = -1
+            idx -= 1
+        elif idx + 1 == p * q:
+            yield tuple(cells)
+        else:
+            idx += 1
+
+
+def test_solve_torus_matches_depth_first_search():
+    rng = random.Random(30)
+    shapes = [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (1, 3), (1, 4), (2, 2),
+              (3, 2), (2, 3)]
+    for _ in range(60):
+        ts = random_tileset(rng, rng.randint(1, 5), rng.randint(1, 4))
+        if rng.random() < 0.3:  # repeat a tile
+            ts = WangTileSet(ts.tiles + (rng.choice(ts.tiles),), ts.colors)
+        for p, q in shapes:
+            want = list(_torus_solutions(ts, p, q))
+            assert solve_torus(ts, p, q, "count") == len(want), (ts, p, q)
+            assert [t.cells for t in solve_torus(ts, p, q, "enumerate")] == want
+            first = solve_torus(ts, p, q, "first")
+            assert (first and first.cells) == (want[0] if want else None)
+
+
+def test_full_two_colour_set_counts_every_edge_colouring():
+    full = WangTileSet.from_labels(
+        [(n, e, s, w) for n in "ab" for e in "ab" for s in "ab" for w in "ab"])
+    for p, q in ((4, 3), (5, 4)):
+        assert solve_torus(full, p, q, "count") == 2 ** (2 * p * q)
+
+
+def test_unknown_mode_rejected():
+    # Before anything is built: a torus past the item limit still reads as this.
+    for mode in ("frist", "Count", None):
+        for side in (1, 10 ** 9):
+            with pytest.raises(WangInputError, match="unknown mode"):
+                solve_torus(_self_matching(), side, side, mode)
+
+
 def test_find_periodic(three_tile_set):
     p, q, tiling = find_periodic(three_tile_set, 9)
     assert (p, q) == (3, 1)
     assert validate(three_tile_set, tiling) == []
     assert find_periodic(_self_matching(), 4) == (1, 1, WangTiling(1, 1, True, (0,)))
     assert find_periodic(_vertical_mismatch(), 12) is None
+
+
+def test_find_periodic_returns_before_the_item_limit(three_tile_set):
+    # Past 2**14 items a torus is refused; a solvable set's scan stops first.
+    assert find_periodic(three_tile_set, 10 ** 6)[:2] == (3, 1)
+    # 2000 colours make 4001 items a cell: a 5-cell torus is over the limit.
+    wide = WangTileSet(_vertical_mismatch().tiles, tuple(f"c{i}" for i in range(2000)))
+    assert find_periodic(wide, 4) is None
+    with pytest.raises(RegionLimitError):
+        find_periodic(wide, 5)
 
 
 def test_solutions_always_validate():
