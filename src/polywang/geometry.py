@@ -79,15 +79,16 @@ def bounding_box(cells) -> tuple[int, int, int, int]:
 def _connected_rows(*xys: np.ndarray) -> list:
     """For each (x, y) array, its distinct cells in canonical (y, x) order
     and their ``row_runs`` if it is non-empty and edge-connected, else None.
-    One pass serves them all.  An array whose side is as long as its cells
-    are many is not connected and is dropped first.  Each other one is keyed
-    row-major in its bounding box, at the widest box's width, into its own
-    range of rows, with a blank row before the next range; the keys are
-    sorted once and split into runs, and each array takes its slice.  Two
-    runs touch iff one's first cell is next to the other, above or below:
-    one search of the run bounds pairs them, and hooking larger roots under
-    smaller ones and pointer jumping joins the pairs (Shiloach and Vishkin,
-    1982); an array is connected iff all its runs join its first."""
+    One pass serves them all, each array marked as it would be alone.  An
+    array whose side is as long as its cells are many is not connected and
+    is dropped first.  Each other one is keyed row-major in its bounding box,
+    at the widest box's width, into its own range of rows, with a blank row
+    before the next range; the keys are sorted once and split into runs, and
+    each array takes its slice.  Two runs touch iff one's first cell is next
+    to the other, above or below: one search of the run bounds pairs them,
+    and hooking larger roots under smaller ones and pointer jumping joins
+    the pairs (Shiloach and Vishkin, 1982); an array is connected iff all
+    its runs join its first."""
     out, n = [None] * len(xys), [len(xy) for xy in xys]
     at = [i for i, k in enumerate(n) if k]  # the non-empty arrays
     if not at:
@@ -109,11 +110,15 @@ def _connected_rows(*xys: np.ndarray) -> list:
     # box's corner (x0, y0) moved down ``base`` rows; int64 arithmetic wraps,
     # but the key is small, so it is exact.
     lo[:, 1] -= base
-    key = np.sort(xy[:, 1] * width + xy[:, 0] - np.repeat(lo[:, 1] * width + lo[:, 0], n))
+    key = xy[:, 1] * width
+    key += xy[:, 0]
+    key -= np.repeat(lo[:, 1] * width + lo[:, 0], n)
+    del xy  # the cells are rebuilt from their keys
+    key.sort()
     key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     # A run starts where a key does not follow the one before, or a row starts.
-    col = key % width
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1] + 1)) | (col == 0))
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1] + 1))
+                           | (key % width == 0))
     lengths = np.concatenate((first[1:], [len(key)])) - first
     start = key[first]
     # A key lies in run i iff exactly 2i + 1 run bounds are at most it.
@@ -133,14 +138,17 @@ def _connected_rows(*xys: np.ndarray) -> list:
     cells = np.searchsorted(key, [b * width for b in base] + [key[-1] + 1])
     runs = np.searchsorted(first, cells)
     joined = (np.maximum.reduceat(root, runs[:-1]) == runs[:-1]).tolist()
-    xy = np.column_stack((col, key // width))
-    xy += np.repeat(lo, np.diff(cells), axis=0)
-    corner = xy[first]
+    xy = np.empty((len(key), 2), np.int64)
+    np.divmod(key, width, out=(xy[:, 1], xy[:, 0]))
     cells, runs = cells.tolist(), runs.tolist()
     for k, i in enumerate(at):
         if joined[k]:
             c, r = slice(*cells[k:k + 2]), slice(*runs[k:k + 2])
-            out[i] = xy[c], corner[r], lengths[r]
+            # One column at a time: adding a 2-vector to a (k, 2) block
+            # loops row by row.
+            xy[c, 0] += lo[k, 0]
+            xy[c, 1] += lo[k, 1]
+            out[i] = xy[c], xy[first[r]], lengths[r]
     return out
 
 
@@ -261,28 +269,12 @@ def piece_entry(obj) -> tuple[np.ndarray, str]:
     return xy, obj["name"]
 
 
-# Cells of consecutive pieces whose connectivity one pass checks.  Joining
-# small pieces saves numpy's fixed cost per call, about 80 us a piece; joining
-# all seven pieces of a 49,434-cell file doubled the pass's heap peak, 1.5 to
-# 3.0 MB (tracemalloc), and saved no time, so a larger piece is checked alone.
-_JOINT_CELLS = 1 << 12
-
-
 def polyominoes(named_cells: list) -> tuple[Polyomino, ...]:
-    """``Polyomino(cells, name)`` of each (cells, name) pair, in order.  Runs
-    of consecutive pieces totalling at most _JOINT_CELLS cells share one
-    ``_connected_rows`` pass each, a larger piece has one alone; the first
-    bad piece raises as it would alone."""
+    """``Polyomino(cells, name)`` of each (cells, name) pair, in order, all
+    checked by one ``_connected_rows`` pass; the first bad piece raises as
+    it would alone."""
     xys = [cell_array(cells) for cells, _ in named_cells]
-    rows, batch, size = [], [], 0
-    for xy in xys:
-        if batch and size + len(xy) > _JOINT_CELLS:
-            rows += _connected_rows(*batch)
-            batch, size = [], 0
-        batch.append(xy)
-        size += len(xy)
-    if batch:
-        rows += _connected_rows(*batch)
+    rows = _connected_rows(*xys) if xys else []
     return tuple(Polyomino(xy, name, r)
                  for (_, name), xy, r in zip(named_cells, xys, rows))
 
@@ -292,8 +284,8 @@ class Polyomino:
     read-only int64 array of distinct (x, y) rows in canonical (y, x) order,
     and ``runs``, its read-only ``row_runs``, both from the connectivity
     check, ``_connected_rows`` of its cells alone or ``rows``, their part of
-    a joint pass (``polyominoes``); ``cells`` is a frozenset view of ``xy``,
-    derived on first use."""
+    the pass over all the pieces of a list (``polyominoes``); ``cells`` is a
+    frozenset view of ``xy``, derived on first use."""
 
     def __init__(self, cells, name: str, rows=None):
         self.name = name

@@ -127,7 +127,7 @@ def test_criterion_3_area_identity():
             assert total == 2400 * n * (t + 1), (n, t)
 
 
-@criterion(4, "brute-force torus search on the example set", 1.0)
+@criterion(4, "exact-cover torus search on the example set", 1.0)
 def test_criterion_4_wang_solver():
     ts = example_three_tile_set()
     tiling = solve_torus(ts, 3, 1, "first")

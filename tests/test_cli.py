@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -673,16 +675,16 @@ def test_small_pieces_share_one_connectivity_pass(tmp_path, capsys, monkeypatch)
     passes, rows = [], geometry._connected_rows
     monkeypatch.setattr(geometry, "_connected_rows",
                         lambda *xys: passes.append([*map(len, xys)]) or rows(*xys))
-    small, big = [[0, 0], [1, 0]], [[x, 0] for x in range(geometry._JOINT_CELLS + 1)]
+    small, big = [[0, 0], [1, 0]], [[x, 0] for x in range(4097)]
     entries = [{"name": f"p{i}", "cells": cells}
                for i, cells in enumerate([small, small, big, small, small, small])]
     path = tmp_path / "pieces.json"
     path.write_text(json.dumps(entries))
     pieces = cli._load_polyominoes(str(path))
-    # Consecutive pieces join while their cells total at most _JOINT_CELLS.
-    assert passes == [[2, 2], [geometry._JOINT_CELLS + 1], [2, 2, 2]]
+    # Every piece of the file, however large, shares the one pass.
+    assert passes == [[2, 2, 4097, 2, 2, 2]]
     assert [p.name for p in pieces] == [e["name"] for e in entries]
-    # A disconnected piece in a pass still raises before a later bad entry.
+    # A disconnected piece in the pass still raises before a later bad entry.
     bad = {"name": "d", "cells": [[0, 0], [2, 0]]}
     path.write_text(json.dumps(entries[:2] + [bad] + entries[2:] + [{"cells": []}]))
     capsys.readouterr()
@@ -819,6 +821,8 @@ def test_region_over_search_limit_is_resource_limit(tmp_path, capsys, width, hei
 
 
 # Each subcommand with valid inputs, writing its output to -o.
+_WRITER_INPUTS = {**_VALID_INPUTS,
+                  "wang_tiling": {"p": 3, "q": 1, "torus": True, "cells": [0, 1, 2]}}
 _WRITERS = {
     "compile": "compile wang_set",
     "solve-wang": "solve-wang wang_set --torus 3 1",
@@ -826,6 +830,7 @@ _WRITERS = {
     "simulate": "simulate wang_set wang_tiling",
     "verify": "verify pieces tiling",
     "render": "render pieces",
+    "render-tiling": "render tiling --pieces pieces",
     "info": "info pieces",
 }
 
@@ -833,8 +838,7 @@ _WRITERS = {
 @pytest.mark.parametrize("target", ["missing-dir", "dir"])
 @pytest.mark.parametrize("case", list(_WRITERS))
 def test_unwritable_output_is_input_error_naming_the_path(tmp_path, capsys, case, target):
-    path = _write_inputs(tmp_path, wang_tiling={"p": 3, "q": 1, "torus": True,
-                                                "cells": [0, 1, 2]})
+    path = _write_inputs(tmp_path, **_WRITER_INPUTS)
     out = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path
     argv = [path.get(word, word) for word in _WRITERS[case].split()]
     capsys.readouterr()
@@ -842,3 +846,51 @@ def test_unwritable_output_is_input_error_naming_the_path(tmp_path, capsys, case
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"error: cannot write {out}: ")
+
+
+# Any JSON value, with the keys the input files use among its object keys.
+_ANY_JSON = st.recursive(
+    _JSON_SCALARS | st.floats(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["pieces", "name", "cells", "rect", "lattice", "placements",
+                         "piece", "at", "p", "q", "torus", "colors", "tiles",
+                         "n", "e", "s", "w"]) | _JSON_STRINGS, inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def _mutated(draw, obj):
+    """obj with one value somewhere in it replaced by any JSON value, or one
+    key or item dropped, or one item repeated."""
+    if not (isinstance(obj, (dict, list)) and obj and draw(st.integers(0, 3))):
+        return draw(_ANY_JSON)
+    out = obj.copy()
+    key = draw(st.sampled_from(list(obj) if isinstance(obj, dict) else range(len(obj))))
+    how = draw(st.sampled_from(["drop", "repeat", "descend", "descend"]))
+    if how == "drop":
+        del out[key]
+    elif how == "repeat" and isinstance(out, list):
+        out.insert(key, obj[key])
+    else:
+        out[key] = draw(_mutated(obj[key]))
+    return out
+
+
+@given(st.sampled_from(sorted(_WRITERS)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_any_input_file_exits_with_a_known_code(workdir, case, data):
+    # Each subcommand, one of its files replaced by any JSON value or by a
+    # mutation of the valid one, exits 0-3, with one stderr line for 2 or 3.
+    words = _WRITERS[case].split()
+    name = data.draw(st.sampled_from([w for w in words if w in _WRITER_INPUTS]))
+    content = data.draw(_ANY_JSON | _mutated(_WRITER_INPUTS[name]))
+    d = workdir / "fuzz"
+    d.mkdir(exist_ok=True)
+    path = _write_inputs(d, **{**_WRITER_INPUTS, name: content})
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = _run(*[path.get(w, w) for w in words], "-o", d / "out")
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+    if code in (2, 3):
+        assert err.getvalue().count("\n") == 1
+    if code == 1:  # a check or a search ran and found no exact cover
+        assert words[0] in ("verify", "solve-wang", "solve-poly")

@@ -128,8 +128,8 @@ def test_compile_joins_small_pieces_in_connectivity_passes(three_tile_set, monke
     monkeypatch.setattr(geometry, "_connected_rows",
                         lambda *xys: passes.append([*map(len, xys)]) or rows(*xys))
     compile_pieces(three_tile_set)
-    # Consecutive pieces join while their cells total at most 2**12.
-    assert passes == [[8872], [1776, 1776], [620, 620], [4096], [18]]
+    # The seven pieces share one pass.
+    assert passes == [[8872, 1776, 1776, 620, 620, 4096, 18]]
 
 
 def test_minimal_set_encoder_width():

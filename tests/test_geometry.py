@@ -255,12 +255,11 @@ def test_joint_pass_matches_one_piece_at_a_time(pieces):
 
 @pytest.mark.parametrize("sizes, passes", [
     ([], []),
-    ([4094, 2, 1], [[4094, 2], [1]]),
-    ([4094, 3, 4093], [[4094], [3, 4093]]),
-    ([1, 4097, 1], [[1], [4097], [1]]),
+    ([4094, 2, 1], [[4094, 2, 1]]),
+    ([4094, 3, 4093], [[4094, 3, 4093]]),
+    ([1, 4097, 1], [[1, 4097, 1]]),
 ])
-def test_joint_passes_total_at_most_joint_cells(monkeypatch, sizes, passes):
-    assert geometry._JOINT_CELLS == 4096
+def test_one_connectivity_pass_per_piece_list(monkeypatch, sizes, passes):
     seen, rows = [], geometry._connected_rows
     monkeypatch.setattr(geometry, "_connected_rows",
                         lambda *xys: seen.append([*map(len, xys)]) or rows(*xys))
